@@ -26,6 +26,7 @@
 #   scripts/check.sh --net    # tier-1 plus the socket-engine gate:
 #                             # build ddpnode/ddptestbed, run the loopback
 #                             # engine suite (plain and under ASan+UBSan),
+#                             # the LocalPolice suite under ASan+UBSan,
 #                             # then a 10-process localhost mini-testbed
 #                             # that must cut the attacker and no honest
 #                             # peer from real TCP traffic
@@ -310,19 +311,23 @@ if [ "$run_net" -eq 1 ]; then
   # SIGTERM shutdown with no leaked fds, and the echo-corrected credit.
   ./build/tests/netengine_test
 
-  echo "== socket engine: loopback suite under ASan + UBSan =="
+  echo "== socket engine: loopback suite + LocalPolice under ASan + UBSan =="
+  # police_test drives the per-node judge the engine embeds, including the
+  # sync-vs-async judge differential.
   cmake --preset asan-ubsan
-  cmake --build --preset asan-ubsan -j "$jobs" --target netengine_test
-  ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1}" \
-  UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
-      ./build-asan/tests/netengine_test
+  cmake --build --preset asan-ubsan -j "$jobs" --target netengine_test police_test
+  for suite in netengine_test police_test; do
+    ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1}" \
+    UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
+        "./build-asan/tests/$suite"
+  done
 
   echo "== socket engine: 10-process localhost mini-testbed =="
   # One attacker among ten real ddpnode processes; STRICT aggregation
   # fails the gate unless the attacker is cut and no honest peer is.
   BUILD_DIR="$repo/build" OUT_DIR="$tmp/net_testbed" STRICT=1 \
       scripts/testbed.sh 10 1
-  echo "socket engine gate: OK (loopback suite x2 + mini-testbed STRICT)"
+  echo "socket engine gate: OK (loopback suite x2 + police ASan + mini-testbed STRICT)"
 fi
 
 if [ "$run_asan" -eq 1 ]; then

@@ -289,58 +289,47 @@ void DdPolice::detection_phase(double minute) {
   // keep their capacity, so steady-state detection allocates nothing.
   flagged_.clear();
   const std::size_t n = g.node_count();
-  if (sweep_pool_ != nullptr && sweep_pool_->size() > 1 && n >= 256) {
-    // Sharded sweep: each worker scans a contiguous judge span and logs
-    // every over-threshold observation; the replay below walks the logs
-    // in span order, which is judge PeerId order — exactly the inline
-    // loop's sequence, so counters, first-flag round order and trace
-    // emission are bit-identical at any worker count. The scan only does
-    // const reads (counters, thresholds, topology); see set_sweep_pool.
-    const auto spans = util::make_spans(n, sweep_pool_->size());
-    if (flag_scratch_.size() < spans.size()) flag_scratch_.resize(spans.size());
-    for (std::size_t k = 0; k < spans.size(); ++k) {
-      sweep_pool_->submit([this, &g, span = spans[k], &log = flag_scratch_[k]] {
-        log.clear();
-        for (PeerId i = span.begin; i < span.end; ++i) {
-          if (!g.is_active(i)) continue;
-          for (PeerId j : g.neighbors(i)) {
-            const double out = port_.sent_last_minute(j, i);
-            const double warn = policy_ != nullptr
-                                    ? policy_->warning_threshold(i, j)
-                                    : config_.warning_threshold;
-            if (out > warn) log.push_back({i, j, out});
-          }
-        }
-      });
-    }
-    sweep_pool_->wait_idle();
-    for (std::size_t k = 0; k < spans.size(); ++k) {
-      for (const FlagHit& hit : flag_scratch_[k]) {
-        ++suspicions_;
-        auto& judges = judges_scratch_[hit.suspect];
-        if (judges.empty()) flagged_.push_back(hit.suspect);
-        judges.push_back(hit.judge);
-        DDP_TRACE(tracer_, obs::EventType::kSuspectFlagged, minute * kMinute,
-                  hit.suspect, hit.judge, {{"out", hit.out}});
-      }
-    }
-  } else {
-    for (PeerId i = 0; i < n; ++i) {
+  // Flag scan: each contiguous judge span logs its over-threshold
+  // observations, on the pool's workers when sharded or inline as one
+  // span otherwise. The replay walks the logs in span order, which is
+  // judge PeerId order, so counters, first-flag round order and trace
+  // emission are bit-identical at any worker count. The scan only does
+  // const reads (counters, thresholds, topology); see set_sweep_pool.
+  const bool sharded =
+      sweep_pool_ != nullptr && sweep_pool_->size() > 1 && n >= 256;
+  const auto spans = util::make_spans(n, sharded ? sweep_pool_->size() : 1);
+  if (flag_scratch_.size() < spans.size()) flag_scratch_.resize(spans.size());
+  const auto scan = [this, &g](util::IndexSpan span, std::vector<FlagHit>& log) {
+    log.clear();
+    for (auto i = static_cast<PeerId>(span.begin); i < span.end; ++i) {
       if (!g.is_active(i)) continue;
       for (PeerId j : g.neighbors(i)) {
         const double out = port_.sent_last_minute(j, i);
         const double warn = policy_ != nullptr
                                 ? policy_->warning_threshold(i, j)
                                 : config_.warning_threshold;
-        if (out > warn) {
-          ++suspicions_;
-          auto& judges = judges_scratch_[j];
-          if (judges.empty()) flagged_.push_back(j);
-          judges.push_back(i);
-          DDP_TRACE(tracer_, obs::EventType::kSuspectFlagged, minute * kMinute,
-                    j, i, {{"out", out}});
-        }
+        if (out > warn) log.push_back({i, j, out});
       }
+    }
+  };
+  for (std::size_t k = 0; k < spans.size(); ++k) {
+    if (sharded) {
+      sweep_pool_->submit([&scan, span = spans[k], &log = flag_scratch_[k]] {
+        scan(span, log);
+      });
+    } else {
+      scan(spans[k], flag_scratch_[k]);
+    }
+  }
+  if (sharded) sweep_pool_->wait_idle();
+  for (std::size_t k = 0; k < spans.size(); ++k) {
+    for (const FlagHit& hit : flag_scratch_[k]) {
+      ++suspicions_;
+      auto& judges = judges_scratch_[hit.suspect];
+      if (judges.empty()) flagged_.push_back(hit.suspect);
+      judges.push_back(hit.judge);
+      DDP_TRACE(tracer_, obs::EventType::kSuspectFlagged, minute * kMinute,
+                hit.suspect, hit.judge, {{"out", hit.out}});
     }
   }
   // All rounds of this minute evaluate against the same completed-minute
@@ -393,11 +382,10 @@ std::vector<PeerId> DdPolice::believed_group(PeerId judge, PeerId suspect) const
   return group;
 }
 
-MemberReport DdPolice::collect_report(PeerId member, PeerId suspect,
-                                      double minute) {
+std::optional<TrafficTruth> DdPolice::collect_report(PeerId member,
+                                                     PeerId suspect,
+                                                     double minute) {
   const auto& g = port_.graph();
-  MemberReport r;
-  r.member = member;
   const bool reachable = member < g.node_count() && g.is_active(member);
   std::optional<TrafficTruth> answer;
   if (reachable) {
@@ -415,27 +403,22 @@ MemberReport DdPolice::collect_report(PeerId member, PeerId suspect,
   DDP_TRACE(tracer_, obs::EventType::kTrafficRequest, minute * kMinute,
             member, suspect);
   if (!reachable || !answer) {
-    r.responded = false;  // timeout: counters stay zero (Sec. 3.4)
+    // Timeout: counters stay zero (Sec. 3.4).
     DDP_TRACE(tracer_, obs::EventType::kTrafficTimeout, minute * kMinute,
               member, suspect);
-    return r;
+    return std::nullopt;
   }
-  r.out_to_suspect = answer->out_to_suspect;
-  r.in_from_suspect = answer->in_from_suspect;
   DDP_TRACE(tracer_, obs::EventType::kTrafficReply, minute * kMinute, member,
             suspect,
-            {{"out", r.out_to_suspect}, {"in", r.in_from_suspect}});
-  return r;
+            {{"out", answer->out_to_suspect}, {"in", answer->in_from_suspect}});
+  return answer;
 }
 
-MemberReport DdPolice::collect_over_faulty_transport(
+std::optional<TrafficTruth> DdPolice::collect_over_faulty_transport(
     PeerId member, PeerId suspect, const std::optional<TrafficTruth>& answer,
     double minute) {
   auto& ch = fault_->channel();
   auto& ctr = fault_->control();
-  MemberReport r;
-  r.member = member;
-  r.responded = false;
   DDP_TRACE(tracer_, obs::EventType::kTrafficRequest, minute * kMinute,
             member, suspect);
   const int attempts = 1 + std::max(0, config_.max_report_retries);
@@ -494,18 +477,18 @@ MemberReport DdPolice::collect_over_faulty_transport(
                 suspect, {{"rtt", rtt}});
       continue;
     }
-    r.out_to_suspect = got.outgoing_queries;
-    r.in_from_suspect = got.incoming_queries;
-    r.responded = true;
+    const TrafficTruth received{double(got.outgoing_queries),
+                                double(got.incoming_queries)};
     DDP_TRACE(tracer_, obs::EventType::kTrafficReply, minute * kMinute,
               member, suspect,
-              {{"out", r.out_to_suspect}, {"in", r.in_from_suspect}});
-    return r;
+              {{"out", received.out_to_suspect},
+               {"in", received.in_from_suspect}});
+    return received;
   }
   ++ctr.timeouts;  // retries exhausted: count-as-zero (Sec. 3.4)
   DDP_TRACE(tracer_, obs::EventType::kTrafficTimeout, minute * kMinute,
             member, suspect);
-  return r;
+  return std::nullopt;
 }
 
 void DdPolice::run_round(PeerId suspect, const std::vector<PeerId>& judges,
@@ -528,17 +511,16 @@ void DdPolice::run_round(PeerId suspect, const std::vector<PeerId>& judges,
     if (!g.is_active(judge) || !g.has_edge(judge, suspect)) continue;
 
     const std::vector<PeerId> group = believed_group(judge, suspect);
-    std::vector<MemberReport> reports;
-    reports.reserve(group.size());
+    BuddyRound round(group);
     for (PeerId m : group) {
-      MemberReport r = m == judge
-                           ? MemberReport{judge,
-                                          port_.sent_last_minute(judge, suspect),
-                                          port_.sent_last_minute(suspect, judge),
-                                          true}
-                           : collect_report(m, suspect, minute);
-      reports.push_back(r);
+      if (m == judge) {
+        round.record(judge, port_.sent_last_minute(judge, suspect),
+                     port_.sent_last_minute(suspect, judge));
+      } else if (const auto answer = collect_report(m, suspect, minute)) {
+        round.record(m, answer->out_to_suspect, answer->in_from_suspect);
+      }
     }
+    std::vector<MemberReport> reports = std::move(round).reports();
 
     if (config_.buddy_radius >= 2) {
       // DD-POLICE-r with r = 2: cross-check each member's claimed input
@@ -572,51 +554,19 @@ void DdPolice::run_round(PeerId suspect, const std::vector<PeerId>& judges,
       }
     }
 
-    const double gval = general_indicator(reports, config_.good_issue_bound,
-                                          config_.capacity_bound_per_minute);
-    const double sval = single_indicator(reports, judge,
-                                         config_.good_issue_bound,
-                                         config_.capacity_bound_per_minute);
     // A buddy group needs buddies: a judge with no other believed member
     // has nobody to corroborate with, so the protocol cannot conclude
     // (the suspect may simply be forwarding for peers unknown to us).
     if (reports.size() < 2) continue;
-    if (tracer_.on()) {
-      double responders = 0.0;
-      for (const auto& r : reports) {
-        if (r.responded) responders += 1.0;
-      }
-      tracer_.emit(obs::EventType::kIndicatorComputed, minute * kMinute,
-                   suspect, judge,
-                   {{"g", gval},
-                    {"s", sval},
-                    {"k", static_cast<double>(reports.size())},
-                    {"responders", responders}});
-    }
     const double ct = policy_ != nullptr
                           ? policy_->cut_threshold(judge, suspect)
                           : config_.cut_threshold;
-    if (is_bad(gval, sval, ct)) {
-      Decision d;
-      d.minute = minute;
-      d.judge = judge;
-      d.suspect = suspect;
-      d.g = gval;
-      d.s = sval;
-      d.via_single = !(gval > ct);
-      d.believed_k = static_cast<std::uint32_t>(reports.size());
-      for (const auto& r : reports) {
-        if (r.responded) ++d.responders;
-      }
-      d.true_degree = static_cast<std::uint32_t>(g.degree(suspect));
-      decisions_.push_back(d);
-      pending_disconnects_.emplace_back(judge, suspect);
-      DDP_TRACE(tracer_, obs::EventType::kSuspectCut, minute * kMinute,
-                suspect, judge,
-                {{"g", gval},
-                 {"s", sval},
-                 {"via_single", d.via_single ? 1.0 : 0.0}});
-    }
+    const Verdict v =
+        assess(reports, judge, suspect, minute, config_, ct, tracer_);
+    if (!v.bad()) continue;
+    decisions_.push_back(
+        v.convict(static_cast<std::uint32_t>(g.degree(suspect)), tracer_));
+    pending_disconnects_.emplace_back(judge, suspect);
   }
 }
 

@@ -15,9 +15,15 @@
 ///   3. bad-peer recognition (Sec. 3.3) — a neighbour exceeding the
 ///      warning threshold triggers a buddy-group round: members exchange
 ///      Neighbor_Traffic messages (suppressed to one per suspect per
-///      window), silent members count as zero (Sec. 3.4's timeout rule),
-///      indicators g / s are computed and any member observing
-///      g > CT or s > CT disconnects the suspect.
+///      window) and each flagging judge records them in a BuddyRound; the
+///      shared verdict step counts silent members as zero (Sec. 3.4),
+///      computes g / s, and the judge disconnects at g > CT or s > CT.
+///
+/// The round record and the verdict live in indicators.hpp. DdPolice runs
+/// them synchronously over the whole overlay: one call collects every
+/// member's report, so it also hosts the simulation-side extras (list
+/// verification, fault-plane retries, quarantine, adaptive bands).
+/// core::LocalPolice (police.hpp) runs them per node, driven by messages.
 ///
 /// Compromised peers can cheat in this protocol; their reporting/list
 /// behaviour is injected through ReportPolicy / ListPolicy so the
@@ -81,20 +87,6 @@ class ThresholdPolicy {
 };
 
 class AdaptiveThresholds;
-
-/// One disconnect decision, for the metrics pipeline.
-struct Decision {
-  double minute = 0.0;
-  PeerId judge = kInvalidPeer;
-  PeerId suspect = kInvalidPeer;
-  double g = 0.0;
-  double s = 0.0;
-  bool via_single = false;     ///< s (rather than g) crossed the threshold
-  bool list_violation = false; ///< disconnected by the consistency check
-  std::uint32_t believed_k = 0;   ///< buddy-group size the judge used
-  std::uint32_t responders = 0;   ///< members that answered the round
-  std::uint32_t true_degree = 0;  ///< suspect's actual degree at decision time
-};
 
 /// Checkpoint io for Decision, shared by every defense that records them.
 void save_decision(snapshot::Writer& w, const Decision& d);
@@ -209,12 +201,15 @@ class DdPolice {
   void run_round(PeerId suspect, const std::vector<PeerId>& judges,
                  double minute);
   std::vector<PeerId> believed_group(PeerId judge, PeerId suspect) const;
-  MemberReport collect_report(PeerId member, PeerId suspect, double minute);
+  /// One member's answer to the judge's Neighbor_Traffic request;
+  /// std::nullopt when it stays silent (Sec. 3.4 then counts it as zero).
+  std::optional<TrafficTruth> collect_report(PeerId member, PeerId suspect,
+                                             double minute);
   /// True when a fault plane with non-zero fault rates is attached.
   bool transport_faulty() const noexcept {
     return fault_ != nullptr && fault_->control_active();
   }
-  MemberReport collect_over_faulty_transport(
+  std::optional<TrafficTruth> collect_over_faulty_transport(
       PeerId member, PeerId suspect,
       const std::optional<TrafficTruth>& answer, double minute);
   bool deliver_list_over_faulty_transport(PeerId sender,
@@ -241,9 +236,9 @@ class DdPolice {
   /// order — the canonical round order.
   topology::PeerMap<std::vector<PeerId>> judges_scratch_;
   std::vector<PeerId> flagged_;
-  /// One over-threshold observation from the sharded flag scan. Workers
-  /// record hits in judge-scan order within their span; the serial replay
-  /// walks spans in order, reproducing the inline loop's exact sequence.
+  /// One over-threshold observation from the flag scan. Each span records
+  /// hits in judge-scan order; the serial replay walks spans in order, so
+  /// the sequence is the same for one inline span or many pooled ones.
   struct FlagHit {
     PeerId judge = kInvalidPeer;
     PeerId suspect = kInvalidPeer;

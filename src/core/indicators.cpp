@@ -42,4 +42,74 @@ bool is_bad(double g, double s, double cut_threshold) {
   return g > cut_threshold || s > cut_threshold;
 }
 
+BuddyRound::BuddyRound(const std::vector<PeerId>& members) {
+  slots_.reserve(members.size());
+  for (const PeerId m : members) slots_.push_back({m, 0.0, 0.0, false});
+}
+
+bool BuddyRound::record(PeerId member, double out_to_suspect,
+                        double in_from_suspect) {
+  // Searching from the cursor makes in-order recording O(1) per answer.
+  for (std::size_t step = 0; step < slots_.size(); ++step) {
+    const std::size_t i = (cursor_ + step) % slots_.size();
+    if (slots_[i].member != member || slots_[i].responded) continue;
+    slots_[i] = {member, out_to_suspect, in_from_suspect, true};
+    cursor_ = i + 1;
+    return true;
+  }
+  return false;
+}
+
+bool BuddyRound::has_member(PeerId member) const noexcept {
+  return std::ranges::find(slots_, member, &MemberReport::member) !=
+         slots_.end();
+}
+
+bool BuddyRound::answered(PeerId member) const noexcept {
+  return std::ranges::any_of(slots_, [member](const MemberReport& r) {
+    return r.member == member && r.responded;
+  });
+}
+
+bool BuddyRound::complete() const noexcept {
+  return std::ranges::all_of(slots_, &MemberReport::responded);
+}
+
+Verdict assess(const std::vector<MemberReport>& reports, PeerId judge,
+               PeerId suspect, double minute, const DdPoliceConfig& config,
+               double ct, const obs::Tracer& tracer) {
+  const double q = config.good_issue_bound;
+  const double cap = config.capacity_bound_per_minute;
+  Verdict v{judge, suspect, minute,
+            general_indicator(reports, q, cap),
+            single_indicator(reports, judge, q, cap),
+            ct, static_cast<std::uint32_t>(reports.size()),
+            static_cast<std::uint32_t>(
+                std::ranges::count(reports, true, &MemberReport::responded))};
+  DDP_TRACE(tracer, obs::EventType::kIndicatorComputed, minutes(minute),
+            suspect, judge,
+            {{"g", v.g},
+             {"s", v.s},
+             {"k", static_cast<double>(v.k)},
+             {"responders", static_cast<double>(v.responders)}});
+  return v;
+}
+
+Decision Verdict::convict(std::uint32_t true_degree,
+                          const obs::Tracer& tracer) const {
+  const Decision d{.minute = minute,
+                   .judge = judge,
+                   .suspect = suspect,
+                   .g = g,
+                   .s = s,
+                   .via_single = !(g > ct),
+                   .believed_k = k,
+                   .responders = responders,
+                   .true_degree = true_degree};
+  DDP_TRACE(tracer, obs::EventType::kSuspectCut, minutes(minute), suspect,
+            judge,
+            {{"g", g}, {"s", s}, {"via_single", d.via_single ? 1.0 : 0.0}});
+  return d;
+}
+
 }  // namespace ddp::core

@@ -52,13 +52,12 @@ void LocalPolice::on_neighbor_list(std::uint32_t from,
         }
       }
       s.members = members;
-      s.minute = now_minutes;
       if (shrank) s.last_shrink = now_minutes;
       updated = true;
       break;
     }
   }
-  if (!updated) snapshots_.push_back({from, members, now_minutes, -1e9});
+  if (!updated) snapshots_.push_back({from, members, -1e9});
   reconcile_rounds(from, now_minutes);
 }
 
@@ -68,6 +67,11 @@ const LocalPolice::ListSnapshot* LocalPolice::snapshot_for(
     if (s.owner == owner) return &s;
   }
   return nullptr;
+}
+
+bool LocalPolice::any_banned(const std::vector<std::uint32_t>& peers) const {
+  return std::ranges::any_of(peers,
+                             [this](std::uint32_t p) { return is_banned(p); });
 }
 
 void LocalPolice::reconcile_rounds(std::uint32_t owner, double now_minutes) {
@@ -83,72 +87,60 @@ void LocalPolice::reconcile_rounds(std::uint32_t owner, double now_minutes) {
   //
   // Grown list: joiners are asked for their report mid-round so the
   // deadline still holds them to account.
-  for (std::size_t i = 0; i < rounds_open_.size();) {
-    Round& r = rounds_open_[i];
-    if (r.suspect != owner) {
-      ++i;
-      continue;
-    }
-    std::vector<std::uint32_t> members = believed_group(owner);
-    const bool member_left = std::any_of(
-        r.members.begin(), r.members.end(), [&members](std::uint32_t m) {
-          return std::find(members.begin(), members.end(), m) ==
-                 members.end();
-        });
-    const bool member_banned =
-        std::any_of(members.begin(), members.end(),
-                    [this](std::uint32_t m) { return is_banned(m); });
-    if (member_left || member_banned) {
-      rounds_open_.erase(rounds_open_.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-      continue;
-    }
-    const net::NeighborTraffic mine = own_report(owner, now_minutes);
-    for (const std::uint32_t m : members) {
-      if (std::find(r.members.begin(), r.members.end(), m) !=
-          r.members.end()) {
-        continue;
-      }
-      report_clock(owner, m) = now_minutes;
-      transport_.send_neighbor_traffic(m, mine);
-      ++traffic_sent_;
-    }
-    r.members = std::move(members);
-    const bool complete = std::all_of(
-        r.members.begin(), r.members.end(), [&r](std::uint32_t m) {
-          return std::any_of(r.received.begin(), r.received.end(),
-                             [m](const MemberReport& mr) {
-                               return mr.member == m;
-                             });
-        });
-    if (complete) {
-      Round done = std::move(r);
-      rounds_open_.erase(rounds_open_.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-      close_round(done, now_minutes);
-      continue;
-    }
-    ++i;
+  const auto r = std::ranges::find(rounds_open_, owner, &Round::suspect);
+  if (r == rounds_open_.end()) return;
+  std::vector<std::uint32_t> members = believed_group(owner);
+  members.insert(members.begin(), self_);
+  const std::vector<MemberReport>& held = r->group.reports();
+  const bool member_left =
+      std::ranges::any_of(held, [&members](const MemberReport& mr) {
+        return std::ranges::find(members, mr.member) == members.end();
+      });
+  if (member_left || any_banned(members)) {
+    rounds_open_.erase(r);
+    return;
   }
+  const net::NeighborTraffic mine = own_report(owner, now_minutes);
+  for (const std::uint32_t m : members) {
+    if (r->group.has_member(m)) continue;
+    report_clock(owner, m) = now_minutes;
+    transport_.send_neighbor_traffic(m, mine);
+    ++traffic_sent_;
+  }
+  BuddyRound grown(members);  // answers on record carry over
+  for (const MemberReport& mr : held) {
+    if (mr.responded) {
+      grown.record(mr.member, mr.out_to_suspect, mr.in_from_suspect);
+    }
+  }
+  r->group = std::move(grown);
+  close_if_complete(r, now_minutes);
+}
+
+void LocalPolice::close_if_complete(std::vector<Round>::iterator round,
+                                    double now_minutes) {
+  if (!round->group.complete()) return;
+  const Round done = std::move(*round);
+  rounds_open_.erase(round);
+  close_round(done, now_minutes);
 }
 
 bool LocalPolice::has_snapshot(std::uint32_t suspect) const {
-  return std::any_of(snapshots_.begin(), snapshots_.end(),
-                     [suspect](const ListSnapshot& s) {
-                       return s.owner == suspect;
-                     });
+  return snapshot_for(suspect) != nullptr;
 }
 
 std::vector<std::uint32_t> LocalPolice::believed_group(
     std::uint32_t suspect) const {
-  for (const ListSnapshot& s : snapshots_) {
-    if (s.owner == suspect) {
-      std::vector<std::uint32_t> members = s.members;
-      std::erase(members, self_);
-      return members;
-    }
-  }
-  return {};
+  const ListSnapshot* snap = snapshot_for(suspect);
+  if (snap == nullptr) return {};
+  std::vector<std::uint32_t> members = snap->members;
+  std::erase(members, self_);
+  return members;
+}
+
+const BuddyRound* LocalPolice::round_on(std::uint32_t suspect) const {
+  const auto it = std::ranges::find(rounds_open_, suspect, &Round::suspect);
+  return it == rounds_open_.end() ? nullptr : &it->group;
 }
 
 LocalPolice::SuspectClock& LocalPolice::clock_for(std::uint32_t suspect) {
@@ -255,13 +247,11 @@ void LocalPolice::on_minute(double minute,
     ++suspicions_;
     DDP_TRACE(tracer_, obs::EventType::kSuspectFlagged, minutes(minute),
               l.peer, self_, {{"out", l.in_queries}});
-    const bool round_open =
-        std::any_of(rounds_open_.begin(), rounds_open_.end(),
-                    [&](const Round& r) { return r.suspect == l.peer; });
     SuspectClock& clock = clock_for(l.peer);
     const double suppression =
         seconds_as_minutes(config_.suppression_window_seconds);
-    if (!round_open && minute - clock.last_round >= suppression) {
+    if (round_on(l.peer) == nullptr &&
+        minute - clock.last_round >= suppression) {
       open_round(l.peer, l.out_queries, l.in_queries, minute);
     }
   }
@@ -286,50 +276,12 @@ void LocalPolice::open_round(std::uint32_t suspect, double my_out,
   // A banned member can no longer testify; judging without its report
   // would misattribute the traffic it injected. Skip this window — the
   // next minute's monitors and lists are free of it.
-  if (std::any_of(members.begin(), members.end(),
-                  [this](std::uint32_t m) { return is_banned(m); })) {
-    return;
-  }
-
-  Round round;
-  round.suspect = suspect;
-  round.opened_minute = minute;
-  round.deadline_minutes =
-      minute + seconds_as_minutes(config_.collect_timeout_seconds);
-  round.my_out = my_out;
-  round.my_in = my_in;
-  round.members = std::move(members);
+  if (any_banned(members)) return;
   ++rounds_;
-
   clock_for(suspect).last_round = minute;
 
-  // Seed from reports that arrived before our own scan flagged the
-  // suspect — another judge's round-opening broadcast IS its report to
-  // this round, and it will not be repeated inside the suppression
-  // window. Newest cache entry per member wins.
-  for (auto it = report_cache_.rbegin(); it != report_cache_.rend(); ++it) {
-    if (it->suspect != suspect) continue;
-    const std::uint32_t from = it->from;
-    if (std::find(round.members.begin(), round.members.end(), from) ==
-        round.members.end()) {
-      continue;
-    }
-    if (std::any_of(round.received.begin(), round.received.end(),
-                    [from](const MemberReport& mr) {
-                      return mr.member == from;
-                    })) {
-      continue;
-    }
-    MemberReport mr;
-    mr.member = from;
-    mr.out_to_suspect = it->out_to_suspect;
-    mr.in_from_suspect = it->in_from_suspect;
-    mr.responded = true;
-    round.received.push_back(mr);
-  }
-
   const net::NeighborTraffic mine = own_report(suspect, minute);
-  for (const std::uint32_t m : round.members) {
+  for (const std::uint32_t m : members) {
     // The broadcast doubles as our report to m's own round on this
     // suspect; suppress a redundant direct reply to m's request.
     report_clock(suspect, m) = minute;
@@ -339,8 +291,20 @@ void LocalPolice::open_round(std::uint32_t suspect, double my_out,
               suspect);
   }
 
-  if (round.members.empty() ||
-      round.received.size() == round.members.size()) {
+  members.insert(members.begin(), self_);
+  Round round{suspect, BuddyRound(members),
+              minute + seconds_as_minutes(config_.collect_timeout_seconds)};
+  round.group.record(self_, my_out, my_in);
+  // Seed from reports that arrived before our own scan flagged the
+  // suspect — another judge's round-opening broadcast IS its report to
+  // this round, and it will not be repeated inside the suppression
+  // window.
+  for (const CachedReport& c : report_cache_) {
+    if (c.suspect == suspect) {
+      round.group.record(c.from, c.out_to_suspect, c.in_from_suspect);
+    }
+  }
+  if (round.group.complete()) {
     // Degenerate group {self}, or every member already on record.
     close_round(round, minute);
     return;
@@ -359,32 +323,13 @@ void LocalPolice::on_neighbor_traffic(std::uint32_t from,
 
   // Record into the matching open round, if the sender is a queried member
   // that has not answered yet.
-  for (std::size_t i = 0; i < rounds_open_.size(); ++i) {
-    Round& r = rounds_open_[i];
-    if (r.suspect != suspect) continue;
-    const bool is_member =
-        std::find(r.members.begin(), r.members.end(), from) != r.members.end();
-    const bool already =
-        std::any_of(r.received.begin(), r.received.end(),
-                    [&](const MemberReport& mr) { return mr.member == from; });
-    if (is_member && !already) {
-      MemberReport mr;
-      mr.member = from;
-      mr.out_to_suspect = double(report.outgoing_queries);
-      mr.in_from_suspect = double(report.incoming_queries);
-      mr.responded = true;
-      r.received.push_back(mr);
-      DDP_TRACE(tracer_, obs::EventType::kTrafficReply, minutes(now_minutes),
-                from, suspect,
-                {{"out", mr.out_to_suspect}, {"in", mr.in_from_suspect}});
-      if (r.received.size() == r.members.size()) {
-        Round done = std::move(r);
-        rounds_open_.erase(rounds_open_.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-        close_round(done, now_minutes);
-      }
-    }
-    break;
+  const auto r = std::ranges::find(rounds_open_, suspect, &Round::suspect);
+  const double out = double(report.outgoing_queries);
+  const double in = double(report.incoming_queries);
+  if (r != rounds_open_.end() && r->group.record(from, out, in)) {
+    DDP_TRACE(tracer_, obs::EventType::kTrafficReply, minutes(now_minutes),
+              from, suspect, {{"out", out}, {"in", in}});
+    close_if_complete(r, now_minutes);
   }
 
   maybe_reply(from, suspect, now_minutes);
@@ -442,7 +387,7 @@ void LocalPolice::expire_rounds(double now_minutes) {
       ++i;
       continue;
     }
-    if (!r.retried && r.received.size() < r.members.size()) {
+    if (!r.retried && !r.group.complete()) {
       // Fault-plane retry (the sim's DdPolice has the same loop): one
       // extra collect window for silent members before Sec. 3.4 counts
       // them as zero. Over a real transport silence is usually latency,
@@ -454,12 +399,9 @@ void LocalPolice::expire_rounds(double now_minutes) {
       r.deadline_minutes =
           now_minutes + seconds_as_minutes(config_.collect_timeout_seconds);
       const net::NeighborTraffic mine = own_report(r.suspect, now_minutes);
-      for (const std::uint32_t m : r.members) {
-        const bool answered = std::any_of(
-            r.received.begin(), r.received.end(),
-            [m](const MemberReport& mr) { return mr.member == m; });
-        if (answered) continue;
-        transport_.send_neighbor_traffic(m, mine);
+      for (const MemberReport& mr : r.group.reports()) {
+        if (mr.responded) continue;
+        transport_.send_neighbor_traffic(mr.member, mine);
         ++traffic_sent_;
       }
       ++i;
@@ -471,67 +413,23 @@ void LocalPolice::expire_rounds(double now_minutes) {
   for (Round& r : due) close_round(r, now_minutes);
 }
 
-void LocalPolice::close_round(Round& round, double now_minutes) {
-  // Assemble the report set: ourselves first, then every queried member —
-  // answered ones verbatim, silent ones as zeros (Sec. 3.4).
-  std::vector<MemberReport> reports;
-  reports.reserve(1 + round.members.size());
-  MemberReport self;
-  self.member = self_;
-  self.out_to_suspect = round.my_out;
-  self.in_from_suspect = round.my_in;
-  self.responded = true;
-  reports.push_back(self);
-  std::uint32_t responders = 1;
-  for (const std::uint32_t m : round.members) {
-    const auto it =
-        std::find_if(round.received.begin(), round.received.end(),
-                     [m](const MemberReport& mr) { return mr.member == m; });
-    if (it != round.received.end()) {
-      reports.push_back(*it);
-      ++responders;
-    } else {
-      MemberReport silent;
-      silent.member = m;
-      silent.responded = false;
-      reports.push_back(silent);
-    }
-  }
-
-  const double q = config_.good_issue_bound;
-  const double cap = config_.capacity_bound_per_minute;
-  const double g = general_indicator(reports, q, cap);
-  const double s = single_indicator(reports, self_, q, cap);
-  DDP_TRACE(tracer_, obs::EventType::kIndicatorComputed, minutes(now_minutes),
-            round.suspect, self_,
-            {{"g", g}, {"s", s}, {"k", double(reports.size())},
-             {"responders", double(responders)}});
-
-  if (!is_bad(g, s, config_.cut_threshold)) {
+void LocalPolice::close_round(const Round& round, double now_minutes) {
+  const std::vector<MemberReport>& reports = round.group.reports();
+  const Verdict v = assess(reports, self_, round.suspect, now_minutes, config_,
+                           config_.cut_threshold, tracer_);
+  if (!v.bad()) {
     clear_streak(round.suspect);
     return;
   }
   if (!record_trip(round.suspect, now_minutes)) {
     DDP_TRACE(tracer_, obs::EventType::kIndicatorComputed, minutes(now_minutes),
               round.suspect, self_,
-              {{"g", g}, {"s", s}, {"pending_confirmation", 1.0}});
+              {{"g", v.g}, {"s", v.s}, {"pending_confirmation", 1.0}});
     return;
   }
-
-  Decision d;
-  d.minute = now_minutes;
-  d.judge = self_;
-  d.suspect = round.suspect;
-  d.g = g;
-  d.s = s;
-  d.via_single = !(g > config_.cut_threshold);
-  d.believed_k = static_cast<std::uint32_t>(reports.size());
-  d.responders = responders;
-  d.true_degree = static_cast<std::uint32_t>(round.members.size() + 1);
+  const Decision d =
+      v.convict(static_cast<std::uint32_t>(reports.size()), tracer_);
   decisions_.push_back(d);
-  DDP_TRACE(tracer_, obs::EventType::kSuspectCut, minutes(now_minutes),
-            round.suspect, self_,
-            {{"g", g}, {"s", s}, {"via_single", d.via_single ? 1.0 : 0.0}});
   if (cut_handler_) cut_handler_(round.suspect, d);
 }
 

@@ -4,16 +4,16 @@
 /// LocalPolice: the DD-POLICE judge as seen from ONE peer, for deployments
 /// where no omniscient coordinator exists.
 ///
-/// core::DdPolice (ddpolice.hpp) runs the whole overlay's protocol inside
-/// one object — it iterates every judge, reads every monitor, and collects
-/// every report synchronously, which is exactly right for the simulation
-/// engines and exactly wrong for a real socket deployment where each peer
-/// only sees its own links and control messages arrive asynchronously.
-/// LocalPolice is the per-node half: the same indicators (Definitions
-/// 2.1-2.3), the same DdPoliceConfig thresholds, and the same phase
-/// structure (Sec. 3.1 list exchange, Sec. 3.2 monitors, Sec. 3.3 buddy
-/// rounds, Sec. 3.4 silent-members-count-as-zero), but driven by inbound
-/// messages and an owner-supplied minute cadence instead of a global sweep.
+/// The Sec. 3.3 buddy round has one implementation, the round core of
+/// indicators.hpp (BuddyRound, assess, Verdict::convict), run by two
+/// judges. core::DdPolice (ddpolice.hpp) fills each round synchronously
+/// from every monitor in the overlay, which suits the simulation engines.
+/// LocalPolice is the message-driven judge for a socket deployment, where
+/// each peer only sees its own links and control messages arrive
+/// asynchronously: it keeps a BuddyRound open across message arrivals,
+/// with the same DdPoliceConfig thresholds and the paper's phases (Sec.
+/// 3.1 list exchange, Sec. 3.2 monitors, Sec. 3.3 rounds, Sec. 3.4 silent
+/// members count as zero).
 ///
 /// Peers are identified by their 32-bit overlay address (the virtual IPv4
 /// carried in Pong/Neighbor_Traffic/Neighbor_List bodies), not by dense
@@ -24,21 +24,25 @@
 /// Buddy rounds over a real transport:
 ///   - the owner reports per-link monitor readings at each completed minute
 ///     via on_minute(); a neighbour over the warning threshold opens a
-///     round (suppressed to one per suspect per suppression window);
+///     round over this judge and the suspect's believed buddy group (the
+///     list the suspect advertised), one per suspect per suppression window;
 ///   - opening a round broadcasts this judge's own Neighbor_Traffic
-///     observation to the suspect's believed buddy group (the list the
-///     suspect advertised); the broadcast doubles as the request;
+///     observation to the group; the broadcast doubles as the request;
 ///   - a received Neighbor_Traffic about one of our neighbours is answered
 ///     with our own counters (once per suspect per suppression window) and
 ///     recorded into the matching open round, if any;
 ///   - a round closes when every member answered or the collect timeout
-///     expires (on_tick); silent members count as zero (Sec. 3.4), then
-///     g/s are computed and the cut handler fires when Definition 2.3
-///     trips at CT.
+///     expired twice (on_tick), and the shared verdict step decides.
 ///
-/// The sim-side extras (list-consistency verification, fault-plane retry
-/// loops, quarantine ladder, adaptive bands) stay in DdPolice; a socket
-/// node enforces its verdicts by dropping the connection and banning the
+/// One verdict rule differs: LocalPolice judges a group of one, DdPolice
+/// does not. LocalPolice opens no round without the suspect's own list,
+/// so its k = 1 is a peer that named no buddy but this judge; DdPolice's
+/// lone judge may just lack the list (DESIGN.md §9).
+///
+/// Each judge keeps the extras only it needs: here cut confirmation, the
+/// report cache and the suppression clocks; in DdPolice list verification,
+/// fault-plane retries, quarantine and adaptive bands. A socket node
+/// enforces its verdicts by dropping the connection and banning the
 /// address, which is the paper's terminal cut.
 
 #include <algorithm>
@@ -48,7 +52,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/ddpolice.hpp"
 #include "core/indicators.hpp"
 #include "net/message.hpp"
 #include "obs/trace.hpp"
@@ -163,27 +166,32 @@ class LocalPolice {
   /// gap is one advertisement round trip).
   bool has_snapshot(std::uint32_t suspect) const;
 
+  /// The open round on `suspect`, or null. Exposed for tests.
+  const BuddyRound* round_on(std::uint32_t suspect) const;
+
  private:
+  /// An open round: the shared round record plus this judge's clock.
   struct Round {
     std::uint32_t suspect = 0;
-    double opened_minute = 0.0;
+    BuddyRound group;  ///< self (answered at flag time), then the buddies
     double deadline_minutes = 0.0;
-    double my_out = 0.0;  ///< our Out_query(suspect) at flag time
-    double my_in = 0.0;   ///< our In_query(suspect) at flag time
     bool retried = false;  ///< one re-request of silent members granted
-    std::vector<std::uint32_t> members;  ///< queried members (self excluded)
-    std::vector<MemberReport> received;  ///< answers so far, member-addressed
   };
 
   void open_round(std::uint32_t suspect, double my_out, double my_in,
                   double minute);
   void reconcile_rounds(std::uint32_t owner, double now_minutes);
-  void close_round(Round& round, double now_minutes);
+  /// Takes `round` out of rounds_open_ and closes it once every member
+  /// has answered.
+  void close_if_complete(std::vector<Round>::iterator round,
+                         double now_minutes);
+  void close_round(const Round& round, double now_minutes);
   void expire_rounds(double now_minutes);
   void maybe_reply(std::uint32_t requester, std::uint32_t suspect,
                    double now_minutes);
   net::NeighborTraffic own_report(std::uint32_t suspect,
                                   double now_minutes) const;
+  bool any_banned(const std::vector<std::uint32_t>& peers) const;
 
   std::uint32_t self_;
   DdPoliceConfig config_;
@@ -204,7 +212,6 @@ class LocalPolice {
   struct ListSnapshot {
     std::uint32_t owner = 0;
     std::vector<std::uint32_t> members;
-    double minute = -1.0;
     double last_shrink = -1e9;
   };
   std::vector<ListSnapshot> snapshots_;

@@ -389,7 +389,13 @@ void Node::on_message(ConnId id, const net::Message& msg) {
     case net::PayloadType::kNeighborTraffic: {
       if (!link->ready || !config_.police) return;
       const auto& nt = std::get<net::NeighborTraffic>(msg.payload);
-      police_.on_neighbor_traffic(nt.source_ip, nt, protocol_minutes());
+      if (nt.source_ip != link->address) {
+        // Testimony speaks only for the link it arrives on: a peer naming
+        // another member as the source is forging that member's report.
+        ++forged_reports_;
+        return;
+      }
+      police_.on_neighbor_traffic(link->address, nt, protocol_minutes());
       return;
     }
   }

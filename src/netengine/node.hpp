@@ -119,6 +119,9 @@ class Node final : private core::PoliceTransport {
   std::uint64_t hits_received() const noexcept { return hits_received_; }
   std::uint64_t duplicates_dropped() const noexcept { return dup_dropped_; }
   std::uint64_t echo_revocations() const noexcept { return echo_revoked_; }
+  /// Neighbor_Traffic messages dropped because their source_ip was not
+  /// the address of the link they arrived on.
+  std::uint64_t forged_reports() const noexcept { return forged_reports_; }
   /// The police-facing monitor reading for one neighbour (out is the
   /// echo-corrected credit). Exposed for tests and stats.
   std::optional<core::LinkMinute> link_minute(std::uint32_t address);
@@ -225,6 +228,7 @@ class Node final : private core::PoliceTransport {
   std::uint64_t hits_received_ = 0;
   std::uint64_t dup_dropped_ = 0;
   std::uint64_t echo_revoked_ = 0;
+  std::uint64_t forged_reports_ = 0;
 
   std::ofstream stats_;
   bool shutdown_done_ = false;

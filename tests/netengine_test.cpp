@@ -9,7 +9,9 @@
 //     than buffer without bound;
 //   - half-open peer timeout: a TCP connection that never completes the
 //     app handshake is dropped;
-//   - SIGTERM clean shutdown with no leaked file descriptors.
+//   - SIGTERM clean shutdown with no leaked file descriptors;
+//   - forged Neighbor_Traffic: testimony counts only for the link it
+//     arrives on.
 
 #include <gtest/gtest.h>
 
@@ -428,6 +430,104 @@ TEST(Node, DuplicateEchoRevokesForwardCredit) {
   ASSERT_TRUE(pump([&] { return p2.messages.size() > before; }))
       << "ttl=2 query was not forwarded";
   EXPECT_EQ(node.link_minute(a2)->out_queries, 0.0);
+}
+
+TEST(Node, ForgedTestimonyDoesNotFillAnotherMembersSlot) {
+  // A Neighbor_Traffic report speaks only for the link it arrives on. The
+  // judge's round on suspect S covers {judge, A, B}; a peer handshaken as
+  // A that sends a report claiming source_ip = B must be dropped, leaving
+  // B's slot unanswered.
+  NodeConfig cfg = quick_node(0);
+  cfg.ddp.warning_threshold = 5.0;
+  cfg.ddp.collect_timeout_seconds = 600.0;  // keep the round open
+  Node judge(cfg);
+  ASSERT_TRUE(judge.start());
+
+  TestPeer suspect, peer_a;
+  const ConnId cs = suspect.engine.connect("127.0.0.1", judge.listen_port());
+  const ConnId ca = peer_a.engine.connect("127.0.0.1", judge.listen_port());
+  ASSERT_NE(cs, kInvalidConn);
+  ASSERT_NE(ca, kInvalidConn);
+
+  auto pump = [&](auto done, int rounds = 1500) {
+    for (int i = 0; i < rounds; ++i) {
+      if (done()) return true;
+      judge.poll_once(2);
+      suspect.engine.poll_once(2);
+      peer_a.engine.poll_once(2);
+    }
+    return done();
+  };
+
+  const std::uint32_t s_addr = net::peer_address(9);
+  const std::uint32_t a_addr = net::peer_address(1);
+  const std::uint32_t b_addr = net::peer_address(2);  // never connects
+  auto hello = [](std::uint32_t ip, std::uint16_t port) {
+    net::Message m;
+    m.header.ttl = 1;
+    net::Pong p;
+    p.ip = ip;
+    p.port = port;
+    p.files_shared = 0;  // overlay link
+    m.payload = p;
+    return m;
+  };
+  ASSERT_TRUE(pump([&] {
+    return !suspect.connected.empty() && !peer_a.connected.empty();
+  }));
+  suspect.engine.send(cs, hello(s_addr, 9));
+  peer_a.engine.send(ca, hello(a_addr, 1));
+  ASSERT_TRUE(pump([&] { return judge.overlay_degree() == 2; }));
+
+  // S advertises {judge, A, B}; port 0 leaves the judge no way to dial B.
+  net::Message list;
+  list.header.ttl = 1;
+  list.payload = net::NeighborList{
+      {{judge.self_address(), 0}, {a_addr, 0}, {b_addr, 0}}};
+  suspect.engine.send(cs, list);
+  ASSERT_TRUE(pump([&] { return judge.police().has_snapshot(s_addr); }));
+
+  // S floods past the warning threshold until a protocol minute of the
+  // judge sees it and opens the round.
+  for (std::uint16_t serial = 0; judge.police().round_on(s_addr) == nullptr;
+       ++serial) {
+    ASSERT_LT(serial, 3000) << "the flood never opened a round";
+    net::Message q;
+    q.header.guid.bytes[0] = static_cast<std::uint8_t>(serial);
+    q.header.guid.bytes[1] = static_cast<std::uint8_t>(serial >> 8);
+    q.header.guid.bytes[15] = 0x77;
+    q.header.ttl = 1;
+    q.payload = net::Query{0, "flood"};
+    suspect.engine.send(cs, q);
+    judge.poll_once(2);
+    suspect.engine.poll_once(2);
+    peer_a.engine.poll_once(2);
+  }
+
+  // A first testifies as B, then as itself; one connection keeps order,
+  // so once A's own answer is on record the forgery has been handled.
+  auto report = [&](std::uint32_t source) {
+    net::Message m;
+    m.header.ttl = 1;
+    net::NeighborTraffic nt;
+    nt.source_ip = source;
+    nt.suspect_ip = s_addr;
+    nt.outgoing_queries = 5000;
+    m.payload = nt;
+    return m;
+  };
+  peer_a.engine.send(ca, report(b_addr));
+  peer_a.engine.send(ca, report(a_addr));
+  ASSERT_TRUE(pump([&] {
+    const core::BuddyRound* round = judge.police().round_on(s_addr);
+    return round == nullptr || round->answered(a_addr);
+  }));
+
+  const core::BuddyRound* round = judge.police().round_on(s_addr);
+  ASSERT_NE(round, nullptr) << "the round closed: a forged answer completed it";
+  EXPECT_TRUE(round->has_member(b_addr));
+  EXPECT_FALSE(round->answered(b_addr)) << "A's forgery filled B's slot";
+  EXPECT_EQ(judge.forged_reports(), 1u);
 }
 
 TEST(Node, SigtermShutsDownCleanlyWithoutLeakingFds) {

@@ -1,15 +1,23 @@
 // LocalPolice tests: the per-node DD-POLICE judge driven purely by
 // messages and minute callbacks. A tiny in-memory transport loops control
 // messages between LocalPolice instances so a whole buddy round can run
-// without any engine underneath.
+// without any engine underneath. The differential tests at the end feed
+// the same per-link minute readings to DdPolice (the synchronous judge)
+// and to one LocalPolice per peer, and compare their verdicts.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "core/ddpolice.hpp"
 #include "core/police.hpp"
+#include "topology/graph.hpp"
+#include "util/rng.hpp"
 
 namespace ddp::core {
 namespace {
@@ -488,6 +496,119 @@ TEST(LocalPolice, RoundSuppressionPreventsBackToBackRounds) {
   EXPECT_EQ(police.suspicions(), 2u);  // still flagged each minute
   police.on_minute(3.0, {{kBad, 0.0, 800.0}});  // window passed
   EXPECT_EQ(police.rounds_run(), 2u);
+}
+
+// ------------------------------------- sync vs async judge differential
+
+/// A static overlay with integer per-link rates. Every link carries 10
+/// queries/min; once `flooding`, the flooder sends 3000/min to each
+/// neighbour and each of those neighbours relays it to all its other
+/// neighbours (one hop, so the honest relays are suspects too).
+class StaticOverlay final : public OverlayPort {
+ public:
+  StaticOverlay(topology::Graph graph, PeerId flooder)
+      : graph_(std::move(graph)), flooder_(flooder) {}
+
+  const topology::Graph& graph() const override { return graph_; }
+  double sent_last_minute(PeerId from, PeerId to) const override {
+    if (!flooding) return 10.0;
+    if (from == flooder_) return 3000.0;
+    if (to != flooder_ && graph_.has_edge(from, flooder_)) return 3010.0;
+    return 10.0;
+  }
+  void disconnect(PeerId, PeerId) override {}
+  void report_overhead(double) override {}
+
+  bool flooding = false;
+
+ private:
+  topology::Graph graph_;
+  PeerId flooder_;
+};
+
+using CutSet = std::set<std::pair<PeerId, PeerId>>;  ///< (judge, suspect)
+
+DdPoliceConfig differential_config() {
+  DdPoliceConfig cfg;
+  cfg.cut_confirmations = 1;
+  return cfg;
+}
+
+/// Quiet minute 0 (lists exchanged), flooded minute 1, judged by DdPolice.
+CutSet sync_cuts(const topology::Graph& g, PeerId flooder) {
+  StaticOverlay port(g, flooder);
+  DdPolice police(port, differential_config(), util::Rng(3));
+  police.on_minute(0.0);
+  port.flooding = true;
+  police.on_minute(1.0);
+  CutSet cuts;
+  for (const Decision& d : police.decisions()) {
+    if (!d.list_violation) cuts.insert({d.judge, d.suspect});
+  }
+  return cuts;
+}
+
+/// The same two minutes, judged by one LocalPolice per peer exchanging
+/// real Neighbor_List / Neighbor_Traffic bodies over the loop transport.
+CutSet async_cuts(const topology::Graph& g, PeerId flooder) {
+  StaticOverlay port(g, flooder);
+  const std::size_t n = g.node_count();
+  std::vector<std::unique_ptr<LoopTransport>> wire_store;
+  std::vector<std::unique_ptr<LocalPolice>> police_store;
+  std::map<std::uint32_t, LocalPolice*> nodes;
+  std::map<std::uint32_t, LoopTransport*> wires;
+  CutSet cuts;
+  for (PeerId p = 0; p < n; ++p) {
+    wire_store.push_back(std::make_unique<LoopTransport>(ip(p)));
+    police_store.push_back(std::make_unique<LocalPolice>(
+        ip(p), differential_config(), *wire_store.back()));
+    LocalPolice& police = *police_store.back();
+    for (const PeerId nb : g.neighbors(p)) police.add_neighbor(ip(nb));
+    police.set_cut_handler([&cuts, p](std::uint32_t suspect, const Decision&) {
+      cuts.insert({p, suspect - ip(0)});
+    });
+    nodes[ip(p)] = &police;
+    wires[ip(p)] = wire_store.back().get();
+  }
+  for (const double minute : {0.0, 1.0}) {
+    port.flooding = minute > 0.0;
+    for (PeerId p = 0; p < n; ++p) {
+      std::vector<LinkMinute> links;
+      for (const PeerId nb : g.neighbors(p)) {
+        links.push_back({ip(nb), port.sent_last_minute(p, nb),
+                         port.sent_last_minute(nb, p)});
+      }
+      police_store[p]->on_minute(minute, links);
+    }
+    pump(nodes, wires, minute);
+  }
+  return cuts;
+}
+
+TEST(JudgeDifferential, SyncAndAsyncJudgesCutTheSamePairs) {
+  // Every suspect has degree >= 2. The flooder's three monitors must cut
+  // it; the relays they flag (each forwards 3010/min) must survive.
+  topology::Graph g(6);
+  for (const auto& [a, b] : std::vector<std::pair<PeerId, PeerId>>{
+           {0, 1}, {0, 2}, {0, 3}, {1, 2}, {2, 3},
+           {3, 4}, {1, 4}, {4, 5}, {2, 5}}) {
+    g.add_edge(a, b);
+  }
+  const CutSet sync = sync_cuts(g, 0);
+  EXPECT_EQ(sync, (CutSet{{1, 0}, {2, 0}, {3, 0}}));
+  EXPECT_EQ(async_cuts(g, 0), sync);
+}
+
+TEST(JudgeDifferential, OnlyLocalPoliceJudgesADegreeOneSuspect) {
+  // The one intended divergence (k = 1). A degree-1 flooder's only buddy
+  // group is its judge: DdPolice will not conclude without a second
+  // member (Regression.LoneJudgeCannotConvict), LocalPolice judges the
+  // group the suspect advertised (LocalPolice.SelfOnlyGroupStillJudges).
+  topology::Graph g(3);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  EXPECT_TRUE(sync_cuts(g, 0).empty());
+  EXPECT_EQ(async_cuts(g, 0), (CutSet{{1, 0}}));
 }
 
 }  // namespace
