@@ -49,7 +49,9 @@
 // Observability:
 //   trace[-]             write a JSONL event trace of the scenario run
 //                        (inspect with trace_tool mode=inspect/summary)
-//   profile[0]           print the wall-clock phase profile of the run
+//   profile[0]           print the wall-clock phase profile of the run,
+//                        and under dd-police the defense phase's breakdown
+//                        into list exchange, flag scan and buddy rounds
 //   metrics_csv[-]       write per-minute metric snapshots as CSV
 //   metrics_json[-]      write final metric values (incl. histograms) as JSON
 //   forensics[-]         fold the attack storyline live and write per-agent
@@ -450,6 +452,11 @@ int main(int argc, char** argv) {
 
   if (r.profile != nullptr) {
     std::printf("\n%s", r.profile->report().c_str());
+  }
+  if (r.defense_profile != nullptr) {
+    std::printf("\n%s",
+                r.defense_profile->report("defense breakdown (wall clock)")
+                    .c_str());
   }
   if (trace_sink != nullptr) {
     trace_sink->flush();

@@ -130,6 +130,14 @@ env -u DDP_FULL -u DDP_SEED DDP_TRIALS=1 ./build/bench/bench_attack_rate \
 ./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 \
     trace="$tmp/golden/ddpsim_short.jsonl" \
     csv="$tmp/golden/ddpsim_short.csv" > /dev/null
+# The same scenario with colluding reporters, fabricated neighbour lists
+# and a lossy, corrupting control channel: the default run above never
+# calls a ReportPolicy or ListPolicy and never touches the faulty
+# transport, so it cannot see a change to those paths.
+./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 \
+    cheat=collude lists=fabricate loss=0.05 corrupt=0.02 \
+    trace="$tmp/golden/ddpsim_cheat.jsonl" \
+    csv="$tmp/golden/ddpsim_cheat.csv" > /dev/null
 if (cd "$tmp/golden" && sha256sum -c "$repo/tests/golden/sha256sums.txt"); then
   echo "golden byte-identity: OK"
 else

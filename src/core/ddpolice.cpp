@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
+#include <stdexcept>
 
 #include "core/adaptive.hpp"
 #include "net/message.hpp"
+#include "obs/profile.hpp"
 #include "snapshot/state_io.hpp"
 #include "util/log.hpp"
 #include "util/spans.hpp"
@@ -22,6 +23,12 @@ std::uint32_t quantize_counter(double v) noexcept {
   constexpr double kMax = static_cast<double>(std::numeric_limits<std::uint32_t>::max());
   return v >= kMax ? std::numeric_limits<std::uint32_t>::max()
                    : static_cast<std::uint32_t>(std::llround(v));
+}
+
+/// Whether `v` names a peer outside an overlay of `peers` peers. Held
+/// lists must not: rounds index per-peer scratch by member id.
+bool names_unknown_peer(const std::vector<PeerId>& v, std::size_t peers) {
+  return std::ranges::any_of(v, [peers](PeerId p) { return p >= peers; });
 }
 
 }  // namespace
@@ -56,6 +63,22 @@ void DdPolice::set_trace_sink(obs::TraceSink* sink) noexcept {
   tracer_.bind(sink);
   if (ledger_) ledger_->set_trace_sink(sink);
   if (adaptive_) adaptive_->set_trace_sink(sink);
+}
+
+void DdPolice::set_profiler(obs::PhaseProfiler* profiler) {
+  profiler_ = profiler;
+  if (profiler_ == nullptr) return;
+  ph_exchange_ = profiler_->phase("exchange");
+  ph_flag_scan_ = profiler_->phase("flag_scan");
+  ph_rounds_ = profiler_->phase("rounds");
+}
+
+void DdPolice::PeerMarks::clear(std::size_t peers) {
+  if (epoch_of_.size() < peers) epoch_of_.resize(peers, 0);
+  if (++epoch_ == 0) {  // wrapped: retire every stale epoch
+    std::ranges::fill(epoch_of_, 0u);
+    epoch_ = 1;
+  }
 }
 
 const fault::ControlCounters& DdPolice::control_stats() const noexcept {
@@ -97,8 +120,9 @@ void DdPolice::on_minute(double minute) {
   // Adaptive bands feed on the completed minute's counters before the
   // detection phase consults the rails derived from them.
   if (adaptive_) adaptive_->on_minute(minute);
-  exchange_phase(minute);
-  detection_phase(minute);
+  obs::timed(profiler_, ph_exchange_, [&] { exchange_phase(minute); });
+  obs::timed(profiler_, ph_flag_scan_, [&] { flag_scan(minute); });
+  obs::timed(profiler_, ph_rounds_, [&] { run_rounds(minute); });
 }
 
 void DdPolice::exchange_phase(double minute) {
@@ -148,13 +172,6 @@ void DdPolice::exchange_phase(double minute) {
     traffic_messages_ += static_cast<std::uint64_t>(per_minute);
     port_.report_overhead(per_minute);
   }
-}
-
-std::vector<PeerId> DdPolice::advertised_list(PeerId p) const {
-  const auto& g = port_.graph();
-  std::vector<PeerId> truth(g.neighbors(p).begin(), g.neighbors(p).end());
-  std::sort(truth.begin(), truth.end());
-  return list_policy_ ? list_policy_(p, truth) : truth;
 }
 
 bool DdPolice::deliver_list_over_faulty_transport(
@@ -213,43 +230,47 @@ bool DdPolice::deliver_list_over_faulty_transport(
   return false;
 }
 
-void DdPolice::advertise_to(PeerId p, PeerId receiver, double minute) {
+bool DdPolice::advertise_to(PeerId p, PeerId receiver,
+                            const std::vector<PeerId>& truth, double minute) {
   const auto& g = port_.graph();
-  std::vector<PeerId> advertised = advertised_list(p);
+  std::vector<PeerId> advertised = list_policy_ ? list_policy_(p, truth) : truth;
+  if (list_policy_ && names_unknown_peer(advertised, g.node_count())) {
+    throw std::invalid_argument("ListPolicy named a peer outside the overlay");
+  }
   if (transport_faulty()) {
-    if (!deliver_list_over_faulty_transport(p, advertised)) return;
+    if (!deliver_list_over_faulty_transport(p, advertised)) return false;
   } else {
     ++exchange_messages_;
     port_.report_overhead(1.0);
   }
   Snapshot& snap = snapshot_for(receiver, p);
   snap.prev_members = std::move(snap.members);
-  snap.members = advertised;
+  snap.members = std::move(advertised);
   snap.minute = minute;
+  const std::vector<PeerId>& claims = snap.members;
   DDP_TRACE(tracer_, obs::EventType::kNeighborListSent, minute * kMinute, p,
-            receiver, {{"entries", static_cast<double>(advertised.size())}});
+            receiver, {{"entries", static_cast<double>(claims.size())}});
 
-  if (!config_.verify_neighbor_lists) return;
+  if (!config_.verify_neighbor_lists) return false;
   // Consistency check (Sec. 3.1). Fabricated entries: the receiver
   // confirms each claimed pair with the named peer — but only entries
   // that are new relative to the previous advertisement (already-verified
   // pairs need no re-confirmation). Withheld entries: the receiver knows
   // it is p's neighbour, so its own absence from the advertised list is
-  // immediately visible at no message cost.
+  // immediately visible at no message cost. `truth` is p's current
+  // sorted adjacency, so a binary search answers has_edge(p, claimed).
+  seen_.clear(g.node_count());
+  for (PeerId known : snap.prev_members) seen_.insert(known);
   bool violated = false;
   double verified = 0.0;
-  for (PeerId claimed : advertised) {
-    const bool already_known =
-        std::find(snap.prev_members.begin(), snap.prev_members.end(),
-                  claimed) != snap.prev_members.end();
-    if (!already_known) verified += 1.0;
-    if (claimed != p && !g.has_edge(p, claimed)) {
+  for (PeerId claimed : claims) {
+    if (!seen_.contains(claimed)) verified += 1.0;
+    if (claimed != p && !std::ranges::binary_search(truth, claimed)) {
       violated = true;
       break;
     }
   }
-  if (!violated && std::find(advertised.begin(), advertised.end(), receiver) ==
-                       advertised.end()) {
+  if (!violated && std::ranges::find(claims, receiver) == claims.end()) {
     violated = true;
   }
   exchange_messages_ += static_cast<std::uint64_t>(verified);
@@ -265,6 +286,7 @@ void DdPolice::advertise_to(PeerId p, PeerId receiver, double minute) {
               receiver);
     port_.disconnect(receiver, p);
   }
+  return violated;
 }
 
 void DdPolice::advertise(PeerId p, double minute) {
@@ -275,10 +297,16 @@ void DdPolice::advertise(PeerId p, double minute) {
   std::vector<PeerId> truth = receivers;
   std::sort(truth.begin(), truth.end());
   last_advertised_[p] = truth;
-  for (PeerId n : receivers) advertise_to(p, n, minute);
+  for (PeerId n : receivers) {
+    if (!advertise_to(p, n, truth, minute)) continue;
+    // A list-violation cut changed p's adjacency: later receivers are
+    // told (and checked against) the list after the cut.
+    truth.assign(g.neighbors(p).begin(), g.neighbors(p).end());
+    std::sort(truth.begin(), truth.end());
+  }
 }
 
-void DdPolice::detection_phase(double minute) {
+void DdPolice::flag_scan(double minute) {
   const auto& g = port_.graph();
   // Group suspicious neighbours by suspect: if several members of a buddy
   // group raise suspicion in the same minute they share one round (the
@@ -289,12 +317,12 @@ void DdPolice::detection_phase(double minute) {
   // keep their capacity, so steady-state detection allocates nothing.
   flagged_.clear();
   const std::size_t n = g.node_count();
-  // Flag scan: each contiguous judge span logs its over-threshold
-  // observations, on the pool's workers when sharded or inline as one
-  // span otherwise. The replay walks the logs in span order, which is
-  // judge PeerId order, so counters, first-flag round order and trace
-  // emission are bit-identical at any worker count. The scan only does
-  // const reads (counters, thresholds, topology); see set_sweep_pool.
+  // Each contiguous judge span logs its over-threshold observations, on
+  // the pool's workers when sharded or inline as one span otherwise. The
+  // replay walks the logs in span order, which is judge PeerId order, so
+  // counters, first-flag round order and trace emission are bit-identical
+  // at any worker count. The scan only does const reads (counters,
+  // thresholds, topology); see set_sweep_pool.
   const bool sharded =
       sweep_pool_ != nullptr && sweep_pool_->size() > 1 && n >= 256;
   const auto spans = util::make_spans(n, sharded ? sweep_pool_->size() : 1);
@@ -332,6 +360,9 @@ void DdPolice::detection_phase(double minute) {
                 hit.suspect, hit.judge, {{"out", hit.out}});
     }
   }
+}
+
+void DdPolice::run_rounds(double minute) {
   // All rounds of this minute evaluate against the same completed-minute
   // counters and the intact topology; the resulting disconnects apply
   // afterwards (the Neighbor_Traffic exchanges of every round fit inside
@@ -361,40 +392,44 @@ void DdPolice::detection_phase(double minute) {
   }
 }
 
-std::vector<PeerId> DdPolice::believed_group(PeerId judge, PeerId suspect) const {
+void DdPolice::believed_group(PeerId judge, PeerId suspect) {
   // Union of the current and previous advertised lists: a feeder that
   // disappeared from the suspect's latest advertisement still carried
   // traffic during the counted minute, so the judge keeps consulting it
   // for one more generation (its monitors remember that minute too).
-  std::vector<PeerId> group;
+  group_.clear();
+  seen_.clear(port_.graph().node_count());
   if (const Snapshot* snap = find_snapshot(judge, suspect)) {
-    group = snap->members;
+    for (PeerId m : snap->members) {
+      group_.push_back(m);
+      seen_.insert(m);
+    }
     for (PeerId m : snap->prev_members) {
-      if (std::find(group.begin(), group.end(), m) == group.end()) {
-        group.push_back(m);
-      }
+      if (seen_.insert(m)) group_.push_back(m);
     }
   }
-  if (std::find(group.begin(), group.end(), judge) == group.end()) {
-    // The judge always knows its own membership, snapshot or not.
-    group.push_back(judge);
-  }
-  return group;
+  // The judge always knows its own membership, snapshot or not.
+  if (seen_.insert(judge)) group_.push_back(judge);
 }
 
-std::optional<TrafficTruth> DdPolice::collect_report(PeerId member,
-                                                     PeerId suspect,
-                                                     double minute) {
-  const auto& g = port_.graph();
-  const bool reachable = member < g.node_count() && g.is_active(member);
-  std::optional<TrafficTruth> answer;
-  if (reachable) {
+const std::optional<TrafficTruth>& DdPolice::answer_of(PeerId member,
+                                                       PeerId suspect) {
+  std::optional<TrafficTruth>& answer = answers_[member];
+  if (!answered_.insert(member)) return answer;
+  answer.reset();
+  if (port_.graph().is_active(member)) {
     TrafficTruth truth;
     truth.out_to_suspect = port_.sent_last_minute(member, suspect);
     truth.in_from_suspect = port_.sent_last_minute(suspect, member);
     answer = report_policy_ ? report_policy_(member, suspect, truth)
                             : std::optional<TrafficTruth>(truth);
   }
+  return answer;
+}
+
+std::optional<TrafficTruth> DdPolice::collect_report(
+    PeerId member, PeerId suspect, const std::optional<TrafficTruth>& answer,
+    double minute) {
   if (transport_faulty()) {
     // The judge cannot tell a dead member from a mute one or a lossy link:
     // every silent request runs the full timeout/retry loop.
@@ -402,7 +437,7 @@ std::optional<TrafficTruth> DdPolice::collect_report(PeerId member,
   }
   DDP_TRACE(tracer_, obs::EventType::kTrafficRequest, minute * kMinute,
             member, suspect);
-  if (!reachable || !answer) {
+  if (!answer) {
     // Timeout: counters stay zero (Sec. 3.4).
     DDP_TRACE(tracer_, obs::EventType::kTrafficTimeout, minute * kMinute,
               member, suspect);
@@ -495,29 +530,43 @@ void DdPolice::run_round(PeerId suspect, const std::vector<PeerId>& judges,
                          double minute) {
   ++rounds_;
   const auto& g = port_.graph();
+  const std::size_t n = g.node_count();
 
   // Message accounting: the union of believed members exchange
-  // Neighbor_Traffic once each (suppression collapses duplicates).
-  std::unordered_set<PeerId> union_members;
-  for (PeerId i : judges) {
-    for (PeerId m : believed_group(i, suspect)) union_members.insert(m);
+  // Neighbor_Traffic once each (suppression collapses duplicates). Every
+  // judge's believed group is its snapshot's two lists plus itself, so
+  // the union is counted from those directly.
+  in_union_.clear(n);
+  std::size_t union_size = 0;
+  for (PeerId judge : judges) {
+    if (const Snapshot* snap = find_snapshot(judge, suspect)) {
+      for (PeerId m : snap->members) union_size += in_union_.insert(m);
+      for (PeerId m : snap->prev_members) union_size += in_union_.insert(m);
+    }
+    union_size += in_union_.insert(judge);
   }
-  const double u = static_cast<double>(union_members.size());
+  const double u = static_cast<double>(union_size);
   const double msgs = u > 1.0 ? u * (u - 1.0) : 0.0;
   traffic_messages_ += static_cast<std::uint64_t>(msgs);
   port_.report_overhead(msgs);
 
+  // Each member answers once per round; only the delivery (trace events,
+  // faulty-transport draws) repeats per judge that asks.
+  answered_.clear(n);
+  if (answers_.size() < n) answers_.resize(n);
   for (PeerId judge : judges) {
     if (!g.is_active(judge) || !g.has_edge(judge, suspect)) continue;
 
-    const std::vector<PeerId> group = believed_group(judge, suspect);
-    BuddyRound round(group);
-    for (PeerId m : group) {
+    believed_group(judge, suspect);
+    BuddyRound round(group_);
+    for (PeerId m : group_) {
       if (m == judge) {
+        // The judge reads its own monitors; it does not ask itself.
         round.record(judge, port_.sent_last_minute(judge, suspect),
                      port_.sent_last_minute(suspect, judge));
-      } else if (const auto answer = collect_report(m, suspect, minute)) {
-        round.record(m, answer->out_to_suspect, answer->in_from_suspect);
+      } else if (const auto heard = collect_report(
+                     m, suspect, answer_of(m, suspect), minute)) {
+        round.record(m, heard->out_to_suspect, heard->in_from_suspect);
       }
     }
     std::vector<MemberReport> reports = std::move(round).reports();
@@ -650,6 +699,11 @@ void DdPolice::load(snapshot::Reader& r) {
       s.about = r.u32();
       load_peer_vector(r, s.members);
       load_peer_vector(r, s.prev_members);
+      const std::size_t peers = port_.graph().node_count();
+      if (names_unknown_peer(s.members, peers) ||
+          names_unknown_peer(s.prev_members, peers)) {
+        throw snapshot::SnapshotError("neighbour list names an unknown peer");
+      }
       s.minute = r.f64();
     }
   }

@@ -46,6 +46,10 @@
 #include "util/thread_pool.hpp"
 #include "util/types.hpp"
 
+namespace ddp::obs {
+class PhaseProfiler;
+}  // namespace ddp::obs
+
 namespace ddp::snapshot {
 class Writer;
 class Reader;
@@ -61,11 +65,20 @@ struct TrafficTruth {
 
 /// What `reporter` answers inside the buddy group of `suspect`;
 /// std::nullopt models refusal / mute (treated as zeros after timeout).
+///
+/// Contract: within one minute the answer must be a pure function of
+/// (reporter, suspect, truth) — no RNG draws, no state. Every judge of a
+/// round hears the same Neighbor_Traffic answer (Sec. 3.3's suppression
+/// window), so DdPolice calls the policy at most once per (reporter,
+/// suspect) per minute and hands that one answer to all of them.
 using ReportPolicy = std::function<std::optional<TrafficTruth>(
     PeerId reporter, PeerId suspect, const TrafficTruth& truth)>;
 
-/// What `owner` advertises as its neighbour list (the truth is passed in;
-/// liars fabricate or withhold entries).
+/// What `owner` advertises as its neighbour list (the truth, sorted, is
+/// passed in; liars fabricate or withhold entries). Called once per
+/// receiver of each advertisement, so a policy may draw randomness per
+/// receiver. Entries must name peers of the overlay (ids below the
+/// graph's node_count); advertise throws std::invalid_argument otherwise.
 using ListPolicy =
     std::function<std::vector<PeerId>(PeerId owner, std::vector<PeerId> truth)>;
 
@@ -136,6 +149,12 @@ class DdPolice {
   /// inline serial scan.
   void set_sweep_pool(util::ThreadPool* pool) noexcept { sweep_pool_ = pool; }
 
+  /// Time the protocol's sub-phases into `profiler` (null detaches):
+  /// "exchange" (list exchange and verification), "flag_scan" (the
+  /// monitor sweep and its replay) and "rounds" (buddy rounds and the cuts
+  /// they decide). Timing only; outputs are identical with or without it.
+  void set_profiler(obs::PhaseProfiler* profiler);
+
   /// Attach a trace sink (null detaches). Emits the control-plane
   /// vocabulary: neighbor_list / list_violation on exchanges,
   /// suspect_flagged / indicator / suspect_cut during detection, and
@@ -194,17 +213,29 @@ class DdPolice {
   Snapshot& snapshot_for(PeerId holder, PeerId about);
 
   void exchange_phase(double minute);
-  std::vector<PeerId> advertised_list(PeerId p) const;
-  void advertise_to(PeerId p, PeerId receiver, double minute);
+  /// Send `truth` (p's sorted neighbours) through the list policy to one
+  /// receiver. Returns true when the consistency check cut the link.
+  bool advertise_to(PeerId p, PeerId receiver, const std::vector<PeerId>& truth,
+                    double minute);
   void advertise(PeerId p, double minute);
-  void detection_phase(double minute);
+  void flag_scan(double minute);
+  void run_rounds(double minute);
   void run_round(PeerId suspect, const std::vector<PeerId>& judges,
                  double minute);
-  std::vector<PeerId> believed_group(PeerId judge, PeerId suspect) const;
-  /// One member's answer to the judge's Neighbor_Traffic request;
-  /// std::nullopt when it stays silent (Sec. 3.4 then counts it as zero).
-  std::optional<TrafficTruth> collect_report(PeerId member, PeerId suspect,
-                                             double minute);
+  /// Fill group_ with what `judge` believes the buddy group of `suspect`
+  /// is: the advertised members, then unseen previous members, then the
+  /// judge itself if absent.
+  void believed_group(PeerId judge, PeerId suspect);
+  /// What `member` answers this round about `suspect`, computed on first
+  /// use and shared by every judge of the round; std::nullopt when it is
+  /// down or refuses.
+  const std::optional<TrafficTruth>& answer_of(PeerId member, PeerId suspect);
+  /// Deliver `answer` to one judge's Neighbor_Traffic request, with its
+  /// trace events; std::nullopt when the judge hears nothing (Sec. 3.4
+  /// then counts the member as zero).
+  std::optional<TrafficTruth> collect_report(
+      PeerId member, PeerId suspect, const std::optional<TrafficTruth>& answer,
+      double minute);
   /// True when a fault plane with non-zero fault rates is attached.
   bool transport_faulty() const noexcept {
     return fault_ != nullptr && fault_->control_active();
@@ -246,6 +277,37 @@ class DdPolice {
   };
   util::ThreadPool* sweep_pool_ = nullptr;
   std::vector<std::vector<FlagHit>> flag_scratch_;  ///< per-span hit logs
+
+  /// A set of peers that empties in O(1): a peer is in it when its slot
+  /// holds the current epoch, and clear() moves to the next epoch.
+  class PeerMarks {
+   public:
+    /// Empty the set and make room for ids below `peers`.
+    void clear(std::size_t peers);
+    bool contains(PeerId p) const noexcept { return epoch_of_[p] == epoch_; }
+    /// Add `p`; false when it was already in the set.
+    bool insert(PeerId p) noexcept {
+      if (contains(p)) return false;
+      epoch_of_[p] = epoch_;
+      return true;
+    }
+
+   private:
+    std::vector<std::uint32_t> epoch_of_;
+    std::uint32_t epoch_ = 0;
+  };
+  /// Round and advertisement scratch, reused and sized by peers: the
+  /// members already placed in group_ (or the previous list during an
+  /// advertisement's check), the union of every judge's group this round,
+  /// and each member's answer this round (valid where answered_ holds it).
+  PeerMarks seen_;
+  PeerMarks in_union_;
+  PeerMarks answered_;
+  std::vector<std::optional<TrafficTruth>> answers_;
+  std::vector<PeerId> group_;
+
+  obs::PhaseProfiler* profiler_ = nullptr;
+  std::size_t ph_exchange_ = 0, ph_flag_scan_ = 0, ph_rounds_ = 0;
 
   std::vector<Decision> decisions_;
   std::uint64_t exchange_messages_ = 0;

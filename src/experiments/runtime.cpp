@@ -451,6 +451,10 @@ ScenarioRuntime::ScenarioRuntime(const ScenarioConfig& config)
     ph_defense_ = profiler_->phase("defense");
     ph_maintenance_ = profiler_->phase("maintenance");
     if (config_.repair_partitions) ph_repair_ = profiler_->phase("repair");
+    if (auto* ddp = dynamic_cast<defense::DdPoliceDefense*>(def_.get())) {
+      defense_profiler_ = std::make_shared<obs::PhaseProfiler>();
+      ddp->protocol().set_profiler(defense_profiler_.get());
+    }
   }
 
   register_hooks();
@@ -769,6 +773,7 @@ ScenarioResult ScenarioRuntime::result() const {
   }
   result.metrics_registry = registry_;
   result.profile = profiler_;
+  result.defense_profile = defense_profiler_;
   result.forensics = forensics_;
   result.series = series_;
   if (sink_ != nullptr) sink_->flush();

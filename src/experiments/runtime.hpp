@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiments/scenario.hpp"
@@ -112,12 +113,7 @@ class ScenarioRuntime {
  private:
   template <typename Fn>
   void timed(std::size_t phase, Fn&& fn) {
-    if (profiler_ != nullptr) {
-      obs::PhaseProfiler::Scope scope(*profiler_, phase);
-      fn();
-    } else {
-      fn();
-    }
+    obs::timed(profiler_.get(), phase, std::forward<Fn>(fn));
   }
 
   void register_hooks();
@@ -138,6 +134,7 @@ class ScenarioRuntime {
   core::QuarantineLedger* ledger_ = nullptr;  ///< borrowed from def_
   std::unique_ptr<p2p::PartitionHealer> healer_;
   std::shared_ptr<obs::PhaseProfiler> profiler_;
+  std::shared_ptr<obs::PhaseProfiler> defense_profiler_;  ///< DD-POLICE only
   std::size_t ph_churn_ = 0, ph_attack_ = 0, ph_flash_ = 0, ph_fault_ = 0,
               ph_defense_ = 0, ph_maintenance_ = 0, ph_repair_ = 0,
               ph_run_ = 0;

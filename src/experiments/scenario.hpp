@@ -175,6 +175,10 @@ struct ScenarioResult {
   // shared_ptr keeps ScenarioResult copyable for the bench harnesses).
   std::shared_ptr<obs::MetricsRegistry> metrics_registry;
   std::shared_ptr<obs::PhaseProfiler> profile;
+  /// DD-POLICE's sub-phases (exchange, flag scan, rounds), a breakdown of
+  /// `profile`'s "defense"; kept apart so `profile` still partitions the
+  /// run's wall clock.
+  std::shared_ptr<obs::PhaseProfiler> defense_profile;
   std::shared_ptr<obs::ForensicsAccumulator> forensics;
   std::shared_ptr<obs::SeriesStore> series;
 };

@@ -31,6 +31,16 @@ std::string address_string(std::uint32_t a) {
 
 }  // namespace
 
+template <typename Fn>
+void Node::with_police(Fn&& fn) {
+  ++police_depth_;
+  fn();
+  if (--police_depth_ > 0) return;
+  std::vector<std::uint32_t> gone;
+  gone.swap(deferred_removals_);
+  for (const std::uint32_t address : gone) police_.remove_neighbor(address);
+}
+
 Node::Node(const NodeConfig& config)
     : config_(config),
       self_(net::peer_address(config.index)),
@@ -80,7 +90,7 @@ bool Node::start() {
   // collect timeouts promptly even at high acceleration.
   engine_.timers().schedule_every(
       std::max<std::uint64_t>(50, minute_ms / 20), [this] {
-        police_.on_tick(protocol_minutes());
+        with_police([this] { police_.on_tick(protocol_minutes()); });
         if (adverts_dirty_) {
           adverts_dirty_ = false;
           advertise_neighbors();
@@ -383,7 +393,9 @@ void Node::on_message(ConnId id, const net::Message& msg) {
         members.push_back(e.ip);
         if (e.port != 0) port_hints_.emplace(e.ip, e.port);
       }
-      police_.on_neighbor_list(link->address, members, protocol_minutes());
+      with_police([&] {
+        police_.on_neighbor_list(link->address, members, protocol_minutes());
+      });
       return;
     }
     case net::PayloadType::kNeighborTraffic: {
@@ -395,7 +407,9 @@ void Node::on_message(ConnId id, const net::Message& msg) {
         ++forged_reports_;
         return;
       }
-      police_.on_neighbor_traffic(link->address, nt, protocol_minutes());
+      with_police([&] {
+        police_.on_neighbor_traffic(link->address, nt, protocol_minutes());
+      });
       return;
     }
   }
@@ -430,7 +444,11 @@ void Node::on_close(ConnId id, CloseReason) {
       }
     }
     if (!still_overlay) {
-      police_.remove_neighbor(link.address);
+      if (police_depth_ > 0) {
+        deferred_removals_.push_back(link.address);
+      } else {
+        police_.remove_neighbor(link.address);
+      }
       adverts_dirty_ = true;
     }
   }
@@ -598,7 +616,9 @@ void Node::on_protocol_minute() {
     lm.in_queries = link.in_queries.total(now_s);
     links.push_back(lm);
   }
-  if (config_.police) police_.on_minute(double(minute_), links);
+  if (config_.police) {
+    with_police([&] { police_.on_minute(double(minute_), links); });
+  }
   // Dedup horizon: anything older than 3 protocol minutes cannot still be
   // in flight; compacting here bounds the table across a long run.
   seen_.prune(now_s - 3.0 * config_.minute_seconds);

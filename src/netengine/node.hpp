@@ -167,6 +167,13 @@ class Node final : private core::PoliceTransport {
   void on_message(ConnId id, const net::Message& msg);
   void on_close(ConnId id, CloseReason reason);
 
+  /// Call into the police. Its sends can evict a slow peer, and the
+  /// eviction's on_close would erase from the neighbour list or round
+  /// table the police is iterating, so removals wait in
+  /// deferred_removals_ until the outermost police call returns.
+  template <typename Fn>
+  void with_police(Fn&& fn);
+
   void handle_hello(Link& link, const net::Pong& pong);
   void handle_query(Link& link, const net::Message& msg);
   void handle_query_hit(Link& link, const net::Message& msg);
@@ -233,6 +240,8 @@ class Node final : private core::PoliceTransport {
   std::ofstream stats_;
   bool shutdown_done_ = false;
   bool adverts_dirty_ = false;  ///< neighbour set changed; advertise on tick
+  int police_depth_ = 0;        ///< police calls on the stack
+  std::vector<std::uint32_t> deferred_removals_;  ///< see with_police
 };
 
 }  // namespace ddp::netengine

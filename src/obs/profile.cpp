@@ -141,7 +141,7 @@ std::uint64_t PhaseProfiler::total_wall_nanos() const noexcept {
   return n;
 }
 
-std::string PhaseProfiler::report() const {
+std::string PhaseProfiler::report(const std::string& title) const {
   const double total = static_cast<double>(total_wall_nanos());
   util::Table t({"phase", "calls", "wall_ms", "mean_us", "share_pct"});
   for (const auto& p : phases_) {
@@ -159,7 +159,7 @@ std::string PhaseProfiler::report() const {
               1);
   }
   std::ostringstream os;
-  t.print(os, "run phase profile (wall clock)");
+  t.print(os, title);
   return os.str();
 }
 

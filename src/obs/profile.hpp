@@ -136,7 +136,8 @@ class PhaseProfiler {
   std::uint64_t total_wall_nanos() const noexcept;
 
   /// Human-readable table: phase, calls, total ms, mean us, share %.
-  std::string report() const;
+  std::string report(
+      const std::string& title = "run phase profile (wall clock)") const;
 
   /// Export as `profile.<phase>_ms` gauges.
   void export_to(MetricsRegistry& registry) const;
@@ -144,5 +145,16 @@ class PhaseProfiler {
  private:
   std::vector<PhaseStat> phases_;
 };
+
+/// Run `fn`, adding its wall time to `phase` when a profiler is attached.
+template <typename Fn>
+void timed(PhaseProfiler* profiler, std::size_t phase, Fn&& fn) {
+  if (profiler == nullptr) {
+    fn();
+    return;
+  }
+  PhaseProfiler::Scope scope(*profiler, phase);
+  fn();
+}
 
 }  // namespace ddp::obs

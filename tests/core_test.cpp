@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
 #include <memory>
+#include <tuple>
 
 #include "core/ddpolice.hpp"
 #include "flow/flow_port.hpp"
@@ -380,6 +383,69 @@ TEST(DdPolice, OneRoundPerSuspectPerMinute) {
   // 2..4: counters need one full minute to fill).
   EXPECT_LE(w.police->rounds_run(), 4u);
   EXPECT_GE(w.police->rounds_run(), 2u);
+}
+
+TEST(DdPolice, EachMemberAnswersOncePerRound) {
+  // A hub suspect flagged by all ten of its leaves: every leaf is a judge
+  // and a member of every other judge's group, yet Sec. 3.3's suppression
+  // window lets it send one Neighbor_Traffic answer per suspect per
+  // window, which every judge of the round then shares.
+  constexpr PeerId kLeaves = 10;
+  topology::Graph g(kLeaves + 1);
+  for (PeerId i = 1; i <= kLeaves; ++i) g.add_edge(0, i);
+  DdPoliceConfig cfg;
+  cfg.cut_threshold = 1e12;       // never convict: keep the hub in place
+  cfg.ping_period_minutes = 0.0;  // only rounds add traffic messages
+  ProtocolWorld w(std::move(g), cfg);
+  w.net->set_kind(0, PeerKind::kBad);
+  std::map<std::tuple<PeerId, PeerId, long>, int> calls;
+  w.police->set_report_policy(
+      [&calls, &w](PeerId reporter, PeerId suspect, const TrafficTruth& t)
+          -> std::optional<TrafficTruth> {
+        const long minute = std::lround(w.net->now() / kMinute);
+        ++calls[{reporter, suspect, minute}];
+        return t;
+      });
+  w.net->run_minutes(4.0);
+
+  const std::uint64_t rounds = w.police->rounds_run();
+  ASSERT_GE(rounds, 2u);
+  EXPECT_GE(w.police->suspicions(), 8 * rounds) << "fewer than 8 judges";
+  // Every leaf answered every round, and the policy ran once for it.
+  EXPECT_EQ(calls.size(), rounds * kLeaves);
+  for (const auto& [key, n] : calls) {
+    EXPECT_EQ(std::get<1>(key), 0u);
+    EXPECT_EQ(n, 1) << "leaf " << std::get<0>(key) << " minute "
+                    << std::get<2>(key);
+  }
+  // The union of believed groups is the ten leaves: u·(u-1) per round.
+  EXPECT_EQ(w.police->traffic_messages(), rounds * kLeaves * (kLeaves - 1));
+}
+
+TEST(DdPolice, ViolationCutShrinksTheListLaterReceiversGet) {
+  // Hub 0 withholds half of its list. Receivers 3 and 4 find themselves
+  // missing and cut the hub; receiver 4 is told the list as it stands
+  // after receiver 3's cut, not the one the advertisement started with.
+  topology::Graph g(5);
+  for (PeerId i = 1; i < 5; ++i) g.add_edge(0, i);
+  ProtocolWorld w(std::move(g), DdPoliceConfig{});
+  std::vector<std::vector<PeerId>> told;
+  w.police->set_list_policy([&told](PeerId owner, std::vector<PeerId> truth) {
+    if (owner != 0) return truth;
+    told.push_back(truth);
+    truth.resize(truth.size() / 2);
+    return truth;
+  });
+  w.net->run_minutes(1.0);
+
+  ASSERT_GE(told.size(), 4u);
+  EXPECT_EQ(told[0], (std::vector<PeerId>{1, 2, 3, 4}));
+  EXPECT_EQ(told[2], (std::vector<PeerId>{1, 2, 3, 4}));
+  EXPECT_EQ(told[3], (std::vector<PeerId>{1, 2, 4})) << "3's cut not seen";
+  EXPECT_EQ(w.police->snapshot_of(3, 0), (std::vector<PeerId>{1, 2}));
+  EXPECT_EQ(w.police->snapshot_of(4, 0), (std::vector<PeerId>{1}));
+  EXPECT_FALSE(w.net->graph().has_edge(0, 3));
+  EXPECT_FALSE(w.net->graph().has_edge(0, 4));
 }
 
 TEST(DdPolice, OverheadAccounting) {

@@ -11,7 +11,9 @@
 //     app handshake is dropped;
 //   - SIGTERM clean shutdown with no leaked file descriptors;
 //   - forged Neighbor_Traffic: testimony counts only for the link it
-//     arrives on.
+//     arrives on;
+//   - a slow peer evicted by the judge's own periodic advertisement: the
+//     rest of that advertisement still reaches every other neighbour once.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +29,7 @@
 #include "netengine/engine.hpp"
 #include "netengine/node.hpp"
 #include "netengine/timer_wheel.hpp"
+#include "obs/trace.hpp"
 
 namespace ddp::netengine {
 namespace {
@@ -528,6 +531,116 @@ TEST(Node, ForgedTestimonyDoesNotFillAnotherMembersSlot) {
   EXPECT_TRUE(round->has_member(b_addr));
   EXPECT_FALSE(round->answered(b_addr)) << "A's forgery filled B's slot";
   EXPECT_EQ(judge.forged_reports(), 1u);
+}
+
+/// Records the receivers of a LocalPolice's list advertisements.
+struct ListSends final : obs::TraceSink {
+  struct Send {
+    SimTime t;
+    std::uint32_t to;
+  };
+  std::vector<Send> sends;
+  void on_event(const obs::TraceEvent& e) override {
+    if (e.type == obs::EventType::kNeighborListSent) sends.push_back({e.t, e.b});
+  }
+};
+
+TEST(Node, EvictionDuringAdvertisementSkipsNoNeighbour) {
+  // The judge's periodic advertisement evicts its first neighbour, a
+  // reader that stopped draining: the list send pushes that link's write
+  // queue past the backpressure bound. The eviction's on_close must not
+  // erase from the neighbour list the advertisement is walking, or the
+  // walk skips the next neighbour and repeats the last one.
+  constexpr std::size_t kBound = 64 * 1024;
+  NodeConfig cfg = quick_node(0);
+  cfg.engine.max_write_queue = kBound;
+  cfg.ddp.warning_threshold = 1e12;  // no rounds: only lists and floods
+  Node judge(cfg);
+  ASSERT_TRUE(judge.start());
+  ListSends trace;
+  judge.police().set_trace_sink(&trace);
+
+  TestPeer slow, flooder, other;
+  auto pump = [&](auto done, bool with_slow, int rounds = 1500) {
+    for (int i = 0; i < rounds; ++i) {
+      if (done()) return true;
+      judge.poll_once(2);
+      if (with_slow) slow.engine.poll_once(2);
+      flooder.engine.poll_once(2);
+      other.engine.poll_once(2);
+    }
+    return done();
+  };
+  // Join one at a time so the judge lists them in this order; the slow
+  // peer is the judge's first connection.
+  std::vector<ConnId> to_judge;
+  std::uint32_t index = 1;
+  for (TestPeer* p : {&slow, &flooder, &other}) {
+    const ConnId c = p->engine.connect("127.0.0.1", judge.listen_port());
+    ASSERT_NE(c, kInvalidConn);
+    ASSERT_TRUE(pump([&] { return !p->connected.empty(); }, true));
+    net::Message hello;
+    hello.header.ttl = 1;
+    hello.payload = net::Pong{static_cast<std::uint16_t>(index),
+                              net::peer_address(index), 0, 0};
+    p->engine.send(c, hello);
+    ASSERT_TRUE(pump([&] { return judge.overlay_degree() == index; }, true));
+    to_judge.push_back(c);
+    ++index;
+  }
+  const std::vector<std::uint32_t> joined = judge.police().neighbors();
+  ASSERT_EQ(joined.size(), 3u);
+  ASSERT_EQ(joined[0], net::peer_address(1));
+  constexpr ConnId kSlowAtJudge = 1;  // the judge's first accepted link
+  ASSERT_TRUE(judge.engine().is_open(kSlowAtJudge));
+
+  net::Message list;
+  list.payload = net::NeighborList{{{joined[0], 0}, {joined[1], 0}, {joined[2], 0}}};
+  const std::size_t list_bytes = net::encode(list).size();
+  std::uint16_t serial = 0;
+  auto query = [&serial](std::size_t search_bytes) {
+    net::Message q;
+    q.header.guid.bytes[0] = static_cast<std::uint8_t>(serial);
+    q.header.guid.bytes[1] = static_cast<std::uint8_t>(serial >> 8);
+    q.header.guid.bytes[15] = 0x55;
+    ++serial;
+    q.header.ttl = 3;
+    q.payload = net::Query{0, std::string(search_bytes, 'x')};
+    return q;
+  };
+  const std::size_t query_base = net::encode(query(0)).size();
+  // The flooder's queries reach `slow` through the judge, which it no
+  // longer reads: they fill the kernel buffers, then the judge's queue.
+  // Stop once the queue is within one list of the bound, topping up only
+  // right after an advertisement so the next one is the list that evicts.
+  std::size_t lists_seen = trace.sends.size();
+  auto forward = [&](std::size_t wire_bytes) {
+    const std::size_t got = other.messages.size();
+    flooder.engine.send(to_judge[1], query(wire_bytes - query_base));
+    ASSERT_TRUE(pump([&] { return other.messages.size() > got; }, false));
+  };
+  for (int step = 0; judge.overlay_degree() == 3; ++step) {
+    ASSERT_LT(step, 20000) << "the slow peer was never evicted";
+    const std::size_t gap = kBound - judge.engine().write_queue_bytes(kSlowAtJudge);
+    if (gap >= 2 * list_bytes + query_base) {
+      forward(std::min<std::size_t>(8000, gap - 2 * list_bytes));
+    } else if (gap >= list_bytes && trace.sends.size() > lists_seen) {
+      forward(std::max(query_base, gap - list_bytes + 1));
+    } else {
+      lists_seen = trace.sends.size();
+      pump([] { return false; }, false, 1);
+    }
+  }
+
+  // The advertisement that evicted `slow` went to each neighbour once.
+  ASSERT_FALSE(trace.sends.empty());
+  std::vector<std::uint32_t> last;
+  for (const ListSends::Send& s : trace.sends) {
+    if (s.t == trace.sends.back().t) last.push_back(s.to);
+  }
+  EXPECT_EQ(last, joined);
+  EXPECT_EQ(judge.police().neighbors(),
+            (std::vector<std::uint32_t>{joined[1], joined[2]}));
 }
 
 TEST(Node, SigtermShutsDownCleanlyWithoutLeakingFds) {

@@ -456,6 +456,20 @@ TEST(ObsContract, TracingAndProfilingChangeNoResults) {
   ASSERT_NE(observed.metrics_registry, nullptr);
   ASSERT_NE(observed.profile, nullptr);
   EXPECT_EQ(plain.metrics_registry, nullptr);
+  // DD-POLICE's sub-phases land in their own profile, once a minute each,
+  // and stay out of the run's phase list.
+  ASSERT_NE(observed.defense_profile, nullptr);
+  EXPECT_EQ(plain.defense_profile, nullptr);
+  std::vector<std::string> sub_phases;
+  for (const auto& ph : observed.defense_profile->phases()) {
+    sub_phases.push_back(ph.name);
+    EXPECT_EQ(ph.calls, 8u) << ph.name;
+  }
+  EXPECT_EQ(sub_phases,
+            (std::vector<std::string>{"exchange", "flag_scan", "rounds"}));
+  for (const auto& ph : observed.profile->phases()) {
+    EXPECT_NE(ph.name, "rounds");
+  }
 
   // Bit-identical outcomes: observation consumes no randomness.
   EXPECT_EQ(plain.summary.avg_success_rate,
