@@ -43,15 +43,18 @@
 //   flow_jobs[1]         worker threads inside the flow engine's sharded
 //                        tick sweeps (0 = one per hardware thread); output
 //                        is byte-identical at any value
-//   flow_shards[0]       peer-span shards for the tick sweeps (0 = one per
-//                        worker); output-invariant like flow_jobs
+//   flow_shards[0]       peer-span shards for the tick sweeps (0 = four
+//                        per worker, one without workers); output-invariant
+//                        like flow_jobs
 //
 // Observability:
 //   trace[-]             write a JSONL event trace of the scenario run
 //                        (inspect with trace_tool mode=inspect/summary)
 //   profile[0]           print the wall-clock phase profile of the run,
-//                        and under dd-police the defense phase's breakdown
-//                        into list exchange, flag scan and buddy rounds
+//                        the flow ticks' breakdown into arrivals,
+//                        service+emit+clamp and the fold, and under
+//                        dd-police the defense phase's breakdown into list
+//                        exchange, flag scan and buddy rounds
 //   metrics_csv[-]       write per-minute metric snapshots as CSV
 //   metrics_json[-]      write final metric values (incl. histograms) as JSON
 //   forensics[-]         fold the attack storyline live and write per-agent
@@ -452,6 +455,10 @@ int main(int argc, char** argv) {
 
   if (r.profile != nullptr) {
     std::printf("\n%s", r.profile->report().c_str());
+  }
+  if (r.flow_profile != nullptr) {
+    std::printf("\n%s",
+                r.flow_profile->report("flow breakdown (wall clock)").c_str());
   }
   if (r.defense_profile != nullptr) {
     std::printf("\n%s",

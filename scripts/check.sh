@@ -138,6 +138,18 @@ env -u DDP_FULL -u DDP_SEED DDP_TRIALS=1 ./build/bench/bench_attack_rate \
     cheat=collude lists=fabricate loss=0.05 corrupt=0.02 \
     trace="$tmp/golden/ddpsim_cheat.jsonl" \
     csv="$tmp/golden/ddpsim_cheat.csv" > /dev/null
+# Two runs through the flow engine's other service branches, on lossy,
+# duplicating data links (link_reliability < 1): max-min fair share, and
+# priority admission. The runs above only reach pooled class-blind
+# service on perfect links.
+./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 \
+    defense=fair-share data_faults=1 loss=0.05 dup=0.02 \
+    trace="$tmp/golden/ddpsim_fairshare.jsonl" \
+    csv="$tmp/golden/ddpsim_fairshare.csv" > /dev/null
+./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 \
+    admission=priority data_faults=1 loss=0.05 dup=0.02 \
+    trace="$tmp/golden/ddpsim_priority.jsonl" \
+    csv="$tmp/golden/ddpsim_priority.csv" > /dev/null
 if (cd "$tmp/golden" && sha256sum -c "$repo/tests/golden/sha256sums.txt"); then
   echo "golden byte-identity: OK"
 else
@@ -271,7 +283,9 @@ if [ "$run_shard" -eq 1 ]; then
   echo "== sharded engine: jobs/shard invariance (release build) =="
   # The whole point of the deterministic boundary merge: every worker and
   # shard count must produce byte-identical traces and figure CSVs. The
-  # reference leg is the serial engine (flow_jobs=1, no pool constructed).
+  # reference leg is flow_jobs=1: the same span sweep and fold, run
+  # inline as one span with no pool. It is not an independent engine;
+  # the golden gate above pins its bytes against the manifest.
   mkdir -p "$tmp/shard"
   ./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 \
       trace="$tmp/shard/ref.jsonl" csv="$tmp/shard/ref.csv" > /dev/null
@@ -283,11 +297,11 @@ if [ "$run_shard" -eq 1 ]; then
         trace="$tmp/shard/par.jsonl" csv="$tmp/shard/par.csv" > /dev/null
     if ! cmp -s "$tmp/shard/ref.jsonl" "$tmp/shard/par.jsonl" || \
        ! cmp -s "$tmp/shard/ref.csv" "$tmp/shard/par.csv"; then
-      echo "FAIL: flow_jobs=$j flow_shards=$s output differs from serial" >&2
+      echo "FAIL: flow_jobs=$j flow_shards=$s output differs from flow_jobs=1" >&2
       exit 1
     fi
   done
-  echo "shard invariance: OK (jobs 2/4/8 x shards byte-identical to serial)"
+  echo "shard invariance: OK (jobs 2/4/8 x shards byte-identical to jobs=1)"
 
   echo "== sharded engine: TSan mini-soak + shard determinism tests =="
   # Build the concurrency surface under ThreadSanitizer and run (a) the

@@ -427,6 +427,20 @@ const std::optional<TrafficTruth>& DdPolice::answer_of(PeerId member,
   return answer;
 }
 
+const DdPolice::OtherLinks& DdPolice::other_links_of(PeerId member,
+                                                     PeerId suspect) {
+  OtherLinks& links = other_links_[member];
+  if (!other_links_known_.insert(member)) return links;
+  links = {};
+  for (PeerId x : port_.graph().neighbors(member)) {
+    if (x == suspect) continue;
+    links.max_sent =
+        std::max(links.max_sent, port_.sent_last_minute(member, x));
+    ++links.asked;
+  }
+  return links;
+}
+
 std::optional<TrafficTruth> DdPolice::collect_report(
     PeerId member, PeerId suspect, const std::optional<TrafficTruth>& answer,
     double minute) {
@@ -554,6 +568,8 @@ void DdPolice::run_round(PeerId suspect, const std::vector<PeerId>& judges,
   // faulty-transport draws) repeats per judge that asks.
   answered_.clear(n);
   if (answers_.size() < n) answers_.resize(n);
+  other_links_known_.clear(n);
+  if (other_links_.size() < n) other_links_.resize(n);
   for (PeerId judge : judges) {
     if (!g.is_active(judge) || !g.has_edge(judge, suspect)) continue;
 
@@ -586,14 +602,7 @@ void DdPolice::run_round(PeerId suspect, const std::vector<PeerId>& judges,
         // moments ago in this same detection pass; its monitors (and our
         // ghost counters) still cover the counted minute.
         if (!g.is_active(r.member)) continue;
-        double max_other_link = 0.0;
-        std::size_t asked = 0;
-        for (PeerId x : g.neighbors(r.member)) {
-          if (x == suspect) continue;
-          max_other_link =
-              std::max(max_other_link, port_.sent_last_minute(r.member, x));
-          ++asked;
-        }
+        const auto [max_other_link, asked] = other_links_of(r.member, suspect);
         if (asked == 0) continue;
         const double overhead = static_cast<double>(asked);
         traffic_messages_ += static_cast<std::uint64_t>(overhead);

@@ -230,6 +230,15 @@ class DdPolice {
   /// use and shared by every judge of the round; std::nullopt when it is
   /// down or refuses.
   const std::optional<TrafficTruth>& answer_of(PeerId member, PeerId suspect);
+  /// The r = 2 cross-check's reading of `member`'s links other than the
+  /// one to `suspect`: the largest last-minute Out_query and how many
+  /// links were asked. Scanned on first use and shared by every judge of
+  /// the round, like answer_of.
+  struct OtherLinks {
+    double max_sent = 0.0;
+    std::size_t asked = 0;
+  };
+  const OtherLinks& other_links_of(PeerId member, PeerId suspect);
   /// Deliver `answer` to one judge's Neighbor_Traffic request, with its
   /// trace events; std::nullopt when the judge hears nothing (Sec. 3.4
   /// then counts the member as zero).
@@ -299,11 +308,14 @@ class DdPolice {
   /// Round and advertisement scratch, reused and sized by peers: the
   /// members already placed in group_ (or the previous list during an
   /// advertisement's check), the union of every judge's group this round,
-  /// and each member's answer this round (valid where answered_ holds it).
+  /// each member's answer this round (valid where answered_ holds it), and
+  /// its r = 2 other-link reading.
   PeerMarks seen_;
   PeerMarks in_union_;
   PeerMarks answered_;
   std::vector<std::optional<TrafficTruth>> answers_;
+  PeerMarks other_links_known_;        ///< r = 2: other_links_ is valid
+  std::vector<OtherLinks> other_links_;
   std::vector<PeerId> group_;
 
   obs::PhaseProfiler* profiler_ = nullptr;

@@ -455,6 +455,8 @@ ScenarioRuntime::ScenarioRuntime(const ScenarioConfig& config)
       defense_profiler_ = std::make_shared<obs::PhaseProfiler>();
       ddp->protocol().set_profiler(defense_profiler_.get());
     }
+    flow_profiler_ = std::make_shared<obs::PhaseProfiler>();
+    net_->set_profiler(flow_profiler_.get());
   }
 
   register_hooks();
@@ -774,6 +776,7 @@ ScenarioResult ScenarioRuntime::result() const {
   result.metrics_registry = registry_;
   result.profile = profiler_;
   result.defense_profile = defense_profiler_;
+  result.flow_profile = flow_profiler_;
   result.forensics = forensics_;
   result.series = series_;
   if (sink_ != nullptr) sink_->flush();

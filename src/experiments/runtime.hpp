@@ -135,6 +135,7 @@ class ScenarioRuntime {
   std::unique_ptr<p2p::PartitionHealer> healer_;
   std::shared_ptr<obs::PhaseProfiler> profiler_;
   std::shared_ptr<obs::PhaseProfiler> defense_profiler_;  ///< DD-POLICE only
+  std::shared_ptr<obs::PhaseProfiler> flow_profiler_;
   std::size_t ph_churn_ = 0, ph_attack_ = 0, ph_flash_ = 0, ph_fault_ = 0,
               ph_defense_ = 0, ph_maintenance_ = 0, ph_repair_ = 0,
               ph_run_ = 0;

@@ -134,7 +134,7 @@ std::string validate_config(const ScenarioConfig& config) {
     return "flow.jobs must be within [0, 256] (0 = one per hardware thread)";
   }
   if (config.flow.shards > 4096) {
-    return "flow.shards must be within [0, 4096] (0 = one per worker)";
+    return "flow.shards must be within [0, 4096] (0 = four per worker)";
   }
   const auto& ch = config.fault.channel;
   if (!prob(ch.drop_probability) || !prob(ch.duplicate_probability) ||

@@ -179,6 +179,9 @@ struct ScenarioResult {
   /// `profile`'s "defense"; kept apart so `profile` still partitions the
   /// run's wall clock.
   std::shared_ptr<obs::PhaseProfiler> defense_profile;
+  /// The flow tick's stages (arrivals, service+emit+clamp, fold), a
+  /// breakdown of `profile`'s "flow_ticks", kept apart the same way.
+  std::shared_ptr<obs::PhaseProfiler> flow_profile;
   std::shared_ptr<obs::ForensicsAccumulator> forensics;
   std::shared_ptr<obs::SeriesStore> series;
 };

@@ -83,15 +83,17 @@ struct FlowConfig {
   double link_reliability = 1.0;
 
   /// Worker threads for the sharded tick sweeps. 1 (the default) runs the
-  /// exact serial engine; 0 resolves to one worker per hardware thread.
-  /// Output is byte-identical at any value — per-shard contributions are
-  /// folded back in canonical peer order, so this is a throughput knob
-  /// only and is deliberately excluded from the scenario config digest.
+  /// spans inline on the calling thread, with no pool; 0 resolves to one
+  /// worker per hardware thread. Output is byte-identical at any value —
+  /// per-shard contributions are folded back in canonical peer order, so
+  /// this is a throughput knob only and is deliberately excluded from the
+  /// scenario config digest.
   unsigned jobs = 1;
 
   /// Contiguous peer-span shards the tick sweeps are partitioned into.
-  /// 0 (the default) means one shard per worker; values above `jobs` let
-  /// the spans load-balance across workers. Output-invariant, like jobs.
+  /// 0 (the default) means four degree-weighted shards per worker (one
+  /// when there is no pool), so the pool's queue absorbs uneven spans.
+  /// Output-invariant, like jobs.
   std::size_t shards = 0;
 };
 

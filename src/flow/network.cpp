@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "obs/profile.hpp"
 #include "snapshot/state_io.hpp"
 #include "util/log.hpp"
 
@@ -164,80 +165,6 @@ double FlowNetwork::link_capacity_per_tick(PeerId from, PeerId to) const noexcep
          static_cast<double>(ticks_per_minute_);
 }
 
-namespace {
-
-/// Serial-path sink: contributions land straight on the engine's running
-/// accumulators, in the same order the pre-shard engine added them — this
-/// path's arithmetic is byte-for-byte the original.
-struct DirectSink {
-  double& transport_lost;
-  double& dropped;
-  std::array<double, kClasses>& dropped_class;
-  double& good_issued;
-  double& attack_issued;
-  std::array<double, kMaxTtl>& fresh_by_hop;
-  double& tick_util;
-  std::size_t& util_nodes;
-  double& delay_weight;
-  double& delay_load;
-  double& traffic;
-  double& attack_traffic;
-
-  void add_transport_lost(double v) { transport_lost += v; }
-  void add_drop(double total, double good, double attack) {
-    dropped += total;
-    dropped_class[static_cast<std::size_t>(TrafficClass::kGood)] += good;
-    dropped_class[static_cast<std::size_t>(TrafficClass::kAttack)] += attack;
-  }
-  void add_good_issued(double v) { good_issued += v; }
-  void add_attack_issued(double v) { attack_issued += v; }
-  void add_fresh(std::size_t hop_idx, double v) { fresh_by_hop[hop_idx] += v; }
-  void add_peer_load(double rho, double dw, double dl) {
-    tick_util += rho;
-    ++util_nodes;
-    delay_weight += dw;
-    delay_load += dl;
-  }
-  // Phase-3 contributions hit the same accumulators on the serial path;
-  // the buffered sink keeps them in separate logs because the serial fold
-  // adds all phase-2 contributions before any phase-3 ones.
-  void add_p3_drop(double total, double good, double attack) {
-    add_drop(total, good, attack);
-  }
-  void add_p3_traffic(double total, double attack) {
-    traffic += total;
-    attack_traffic += attack;
-  }
-};
-
-}  // namespace
-
-/// Sharded-path sink: contributions are recorded, not summed — the
-/// coordinator replays the logs in span order after the barrier, which
-/// reproduces the serial accumulation sequence exactly.
-struct FlowNetwork::SpanLogSink {
-  SpanLog& log;
-
-  void add_transport_lost(double v) { log.transport_lost.push_back(v); }
-  void add_drop(double total, double good, double attack) {
-    log.p2_drops.push_back({total, good, attack});
-  }
-  void add_good_issued(double v) { log.good_issued.push_back(v); }
-  void add_attack_issued(double v) { log.attack_issued.push_back(v); }
-  void add_fresh(std::size_t hop_idx, double v) {
-    log.fresh.emplace_back(static_cast<std::uint8_t>(hop_idx), v);
-  }
-  void add_peer_load(double rho, double dw, double dl) {
-    log.peer_load.push_back({rho, dw, dl});
-  }
-  void add_p3_drop(double total, double good, double attack) {
-    log.p3_drops.push_back({total, good, attack});
-  }
-  void add_p3_traffic(double total, double attack) {
-    log.p3_traffic.push_back({total, attack});
-  }
-};
-
 void FlowNetwork::SpanLog::clear() noexcept {
   transport_lost.clear();
   p2_drops.clear();
@@ -256,9 +183,8 @@ void FlowNetwork::SpanLog::clear() noexcept {
 // so the floating-point accumulation order is a property of the topology,
 // not of any container's internal layout. Writes arrivals_[to] exclusively;
 // reads only other links' cur vectors, which no phase-1 sweep writes.
-template <typename Sink>
 void FlowNetwork::phase1_peer(PeerId to, std::size_t ttl, double rel,
-                              Sink& sink) {
+                              SpanLog& log) {
   auto& a = arrivals_[to];
   a = {};
   for (const std::uint32_t in : graph_.in_slots(to)) {
@@ -272,7 +198,7 @@ void FlowNetwork::phase1_peer(PeerId to, std::size_t ttl, double rel,
       for (std::size_t c = 0; c < kClasses; ++c) {
         for (std::size_t k = 0; k < ttl; ++k) in_flight += ef->cur[c][k];
       }
-      sink.add_transport_lost(in_flight * (1.0 - rel));
+      log.transport_lost.push_back(in_flight * (1.0 - rel));
     }
   }
 }
@@ -282,12 +208,11 @@ void FlowNetwork::phase1_peer(PeerId to, std::size_t ttl, double rel,
 // reads the socket and discards what it cannot service, Sec. 2.3): the
 // per-link monitors therefore see what senders actually pushed, which is
 // the observable a deployed DD-POLICE works from. Reads arrivals_[v] (own)
-// and, under fair share, in-link cur vectors (cross-shard but read-only in
-// this barrier); writes only arrivals_[v].
-template <typename Sink>
+// and, under fair share, in-link cur vectors (cross-shard, so no emit may
+// run in the same barrier); writes only arrivals_[v].
 std::array<double, kClasses> FlowNetwork::phase2_service(
     PeerId v, std::size_t ttl, double cap_tick, double service_time,
-    double rel, TickScratch& ts, Sink& sink) {
+    double rel, TickScratch& ts, SpanLog& log) {
   const auto nbrs = graph_.neighbors(v);
 
   double in_total = 0.0;
@@ -347,13 +272,13 @@ std::array<double, kClasses> FlowNetwork::phase2_service(
       const EdgeFlow* ef = edge_state_.find(vin[e]);
       if (ef == nullptr || ts.edge_totals[e] <= 0.0) continue;
       const double sc = ts.done[e] ? 1.0 : share / ts.edge_totals[e];
-      sink.add_drop(
-          ts.edge_totals[e] * (1.0 - sc),
-          ts.edge_class_totals[e][static_cast<std::size_t>(TrafficClass::kGood)] *
-              (1.0 - sc),
-          ts.edge_class_totals[e]
-                             [static_cast<std::size_t>(TrafficClass::kAttack)] *
-              (1.0 - sc));
+      log.p2_drops.push_back(
+          {ts.edge_totals[e] * (1.0 - sc),
+           ts.edge_class_totals[e][static_cast<std::size_t>(TrafficClass::kGood)] *
+               (1.0 - sc),
+           ts.edge_class_totals[e]
+                               [static_cast<std::size_t>(TrafficClass::kAttack)] *
+               (1.0 - sc)});
       for (std::size_t c = 0; c < kClasses; ++c) {
         for (std::size_t k = 0; k < ttl; ++k) {
           ts.fair_arrivals[c][k] += ef->cur[c][k] * rel * sc;
@@ -383,14 +308,14 @@ std::array<double, kClasses> FlowNetwork::phase2_service(
     survive_c[bad] = sa;
     const double d_good = in_class[good] * (1.0 - sg);
     const double d_bad = in_class[bad] * (1.0 - sa);
-    sink.add_drop(d_good + d_bad, d_good, d_bad);
+    log.p2_drops.push_back({d_good + d_bad, d_good, d_bad});
   } else {
-    sink.add_drop(
-        in_total * (1.0 - survive),
-        in_class[static_cast<std::size_t>(TrafficClass::kGood)] *
-            (1.0 - survive),
-        in_class[static_cast<std::size_t>(TrafficClass::kAttack)] *
-            (1.0 - survive));
+    log.p2_drops.push_back(
+        {in_total * (1.0 - survive),
+         in_class[static_cast<std::size_t>(TrafficClass::kGood)] *
+             (1.0 - survive),
+         in_class[static_cast<std::size_t>(TrafficClass::kAttack)] *
+             (1.0 - survive)});
   }
 
   const double rho = std::min(1.0, in_total / cap_tick);
@@ -399,58 +324,50 @@ std::array<double, kClasses> FlowNetwork::phase2_service(
   double delay = rho < 0.999 ? service_time * rho / (1.0 - rho)
                              : config_.max_queue_delay;
   delay = std::min(delay, config_.max_queue_delay);
-  sink.add_peer_load(rho, delay * in_total, in_total);
+  log.peer_load.push_back({rho, delay * in_total, in_total});
   return survive_c;
 }
 
 // ---- Phase 2b: issuance and forwarding. -----------------------------------
-// Writes only this peer's out-link nxt vectors (touch may also reset a
-// recycled slot — still own out-links), so peers are freely parallel once
-// the cross-shard cur reads of phase 2a are behind a barrier.
-template <typename Sink>
+// Runs once phase 1 has consumed every cur vector (and, under fair share,
+// once every service has read them): each out-link's cur is overwritten
+// with next tick's volume. Writes only this peer's out-link state (touch
+// may also reset a recycled slot — still an own out-link), so peers are
+// freely parallel.
 void FlowNetwork::phase2_emit(PeerId v, std::size_t ttl,
                               const std::array<double, kClasses>& survive_c,
-                              TickScratch& ts, Sink& sink) {
+                              TickScratch& ts, SpanLog& log) {
   const auto nbrs = graph_.neighbors(v);
+  ts.out_edges.clear();
   if (nbrs.empty()) return;
   const auto deg = static_cast<double>(nbrs.size());
   const auto& a = arrivals_[v];
+  const auto good = static_cast<std::size_t>(TrafficClass::kGood);
+  const auto bad = static_cast<std::size_t>(TrafficClass::kAttack);
 
-  ts.out_edges.clear();
-  for (const std::uint32_t out : graph_.out_slots(v)) {
-    ts.out_edges.push_back(&edge_state_.touch(out));
-  }
+  // The vector every out-link carries next tick. Each cell takes at most
+  // one term — issuance lands at remaining TTL ttl-1, forwarding of
+  // remaining TTL k at k-1 < ttl-1 — so storing a term is exactly adding
+  // it to a zero-filled vector.
+  auto& fill = ts.fill;
+  fill = {};
 
   // Issuance. Good peers flood one copy of each fresh query per link;
   // compromised peers send *distinct* queries per link (Sec. 2.1), at
   // Q_d = min(20,000, link capacity) each (Sec. 3.5); the bandwidth and
   // back-pressure clamps of phase 3 enforce the min().
-  const PeerKind kind = kinds_[v];
-  if (kind == PeerKind::kGood) {
+  double target = 0.0;
+  if (kinds_[v] == PeerKind::kGood) {
     const double issue = config_.good_issue_per_minute /
                          static_cast<double>(ticks_per_minute_) *
                          issue_scale_[v];
     if (issue > 0.0) {
-      sink.add_good_issued(issue);
-      for (EdgeFlow* ef : ts.out_edges) {
-        ef->nxt[static_cast<std::size_t>(TrafficClass::kGood)][ttl - 1] += issue;
-      }
+      log.good_issued.push_back(issue);
+      fill[good][ttl - 1] = issue;
     }
   } else {
-    const double target = config_.attack_target_per_minute /
-                          static_cast<double>(ticks_per_minute_) *
-                          issue_scale_[v];
-    if (target > 0.0) {
-      double attempted = 0.0;
-      for (std::size_t i = 0; i < ts.out_edges.size(); ++i) {
-        const double clamp = link_capacity_per_tick(v, nbrs[i]);
-        const double vol = std::min(target, clamp);
-        ts.out_edges[i]->nxt[static_cast<std::size_t>(TrafficClass::kAttack)]
-                            [ttl - 1] += vol;
-        attempted += vol;
-      }
-      sink.add_attack_issued(attempted);
-    }
+    target = config_.attack_target_per_minute /
+             static_cast<double>(ticks_per_minute_) * issue_scale_[v];
   }
 
   // Forwarding of serviced arrivals: only the fresh fraction spreads.
@@ -461,107 +378,88 @@ void FlowNetwork::phase2_emit(PeerId v, std::size_t ttl,
         const double vol = a[c][k] * survive_c[c];
         if (vol <= 0.0) continue;
         const std::size_t hop = ttl - k;  // arrival hop of this flow
-        if (c == static_cast<std::size_t>(TrafficClass::kGood)) {
+        if (c == good) {
           // Reach accounting: the exact fresh-node ratio of this hop.
-          sink.add_fresh(hop - 1, vol * profile_.fresh_fraction(hop));
+          log.fresh.emplace_back(static_cast<std::uint8_t>(hop - 1),
+                                 vol * profile_.fresh_fraction(hop));
         }
         if (k == 0) continue;  // remaining ttl 1 -> no forwarding
         // Forwarding: the closed-loop-calibrated damping (see
         // recalibrate()) keeps aggregate message growth faithful.
         const double per_link = vol * forward_damping_[hop - 1] * fan;
-        if (per_link <= 0.0) continue;
-        for (EdgeFlow* ef : ts.out_edges) ef->nxt[c][k - 1] += per_link;
+        if (per_link > 0.0) fill[c][k - 1] = per_link;
       }
     }
   } else {
     // Degree-1 peer: arrivals terminate here, but fresh mass still counts
     // toward reach.
     for (std::size_t k = 0; k < ttl; ++k) {
-      const double vol =
-          a[static_cast<std::size_t>(TrafficClass::kGood)][k] *
-          survive_c[static_cast<std::size_t>(TrafficClass::kGood)];
+      const double vol = a[good][k] * survive_c[good];
       if (vol <= 0.0) continue;
       const std::size_t hop = ttl - k;
-      sink.add_fresh(hop - 1, vol * profile_.fresh_fraction(hop));
+      log.fresh.emplace_back(static_cast<std::uint8_t>(hop - 1),
+                             vol * profile_.fresh_fraction(hop));
     }
   }
+
+  const auto slots = graph_.out_slots(v);
+  double attempted = 0.0;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    EdgeFlow& ef = edge_state_.touch(slots[i]);
+    ef.cur = fill;
+    if (target > 0.0) {
+      const double vol = std::min(target, link_capacity_per_tick(v, nbrs[i]));
+      ef.cur[bad][ttl - 1] = vol;
+      attempted += vol;
+    }
+    ts.out_edges.push_back(&ef);
+  }
+  if (target > 0.0) log.attack_issued.push_back(attempted);
 }
 
-// ---- Phase 3: bandwidth clamp at the sender, count, rotate. ---------------
-// Canonical order again (senders in PeerId order, out-links in adjacency
-// order) so the global drop/traffic accumulators sum deterministically.
-// Touches only this sender's out-link state.
-template <typename Sink>
-void FlowNetwork::phase3_peer(PeerId from, std::size_t ttl, Sink& sink) {
+// ---- Phase 3: bandwidth clamp at the sender, and count. -------------------
+// Runs right after the sender's emit, on the out-links it just filled
+// (ts.out_edges, in adjacency order), so the per-span log order is the
+// canonical one: senders in PeerId order, out-links in adjacency order.
+void FlowNetwork::phase3_clamp(PeerId from, std::size_t ttl,
+                               const TickScratch& ts, SpanLog& log) {
   const auto nbrs = graph_.neighbors(from);
   const auto slots = graph_.out_slots(from);
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    EdgeFlow* efp = edge_state_.find(slots[i]);
-    if (efp == nullptr) continue;
-    auto& ef = *efp;
-    const PeerId to = nbrs[i];
+  for (std::size_t i = 0; i < ts.out_edges.size(); ++i) {
+    auto& ef = *ts.out_edges[i];
     double total = 0.0;
     std::array<double, kClasses> cls_tot{};
     for (std::size_t c = 0; c < kClasses; ++c) {
       for (std::size_t k = 0; k < ttl; ++k) {
-        total += ef.nxt[c][k];
-        cls_tot[c] += ef.nxt[c][k];
+        total += ef.cur[c][k];
+        cls_tot[c] += ef.cur[c][k];
       }
     }
-    if (total > 0.0) {
-      const double clamp = link_capacity_per_tick(from, to);
-      double scale = 1.0;
-      if (total > clamp) {
-        scale = clamp / total;
-        sink.add_p3_drop(
-            total - clamp,
-            cls_tot[static_cast<std::size_t>(TrafficClass::kGood)] *
-                (1.0 - scale),
-            cls_tot[static_cast<std::size_t>(TrafficClass::kAttack)] *
-                (1.0 - scale));
-        total = clamp;
-      }
-      double attack_part = 0.0;
-      for (std::size_t c = 0; c < kClasses; ++c) {
-        for (std::size_t k = 0; k < ttl; ++k) {
-          ef.nxt[c][k] *= scale;
-          if (c == static_cast<std::size_t>(TrafficClass::kAttack)) {
-            attack_part += ef.nxt[c][k];
-          }
+    if (!(total > 0.0)) continue;  // idle link
+    const double clamp = link_capacity_per_tick(from, nbrs[i]);
+    double scale = 1.0;
+    if (total > clamp) {
+      scale = clamp / total;
+      log.p3_drops.push_back(
+          {total - clamp,
+           cls_tot[static_cast<std::size_t>(TrafficClass::kGood)] *
+               (1.0 - scale),
+           cls_tot[static_cast<std::size_t>(TrafficClass::kAttack)] *
+               (1.0 - scale)});
+      total = clamp;
+    }
+    double attack_part = 0.0;
+    for (std::size_t c = 0; c < kClasses; ++c) {
+      for (std::size_t k = 0; k < ttl; ++k) {
+        ef.cur[c][k] *= scale;
+        if (c == static_cast<std::size_t>(TrafficClass::kAttack)) {
+          attack_part += ef.cur[c][k];
         }
       }
-      sink.add_p3_traffic(total, attack_part);
-      edge_state_.cold(slots[i]).minute_acc += total;
     }
-    ef.cur = ef.nxt;
-    for (auto& cls : ef.nxt) cls.fill(0.0);
+    log.p3_traffic.push_back({total, attack_part});
+    edge_state_.cold(slots[i]).minute_acc += total;
   }
-}
-
-void FlowNetwork::step_serial(std::size_t n, std::size_t ttl, double cap_tick,
-                              double service_time, double rel) {
-  double tick_util = 0.0;
-  std::size_t util_nodes = 0;
-  DirectSink sink{acc_transport_lost_, acc_dropped_,     acc_dropped_class_,
-                  acc_good_issued_,    acc_attack_issued_, acc_fresh_good_by_hop_,
-                  tick_util,           util_nodes,        acc_delay_weight_,
-                  acc_delay_load_,     acc_traffic_,      acc_attack_traffic_};
-
-  for (PeerId to = 0; to < n; ++to) phase1_peer(to, ttl, rel, sink);
-
-  if (span_scratch_.empty()) span_scratch_.resize(1);
-  TickScratch& ts = span_scratch_.front();
-  for (PeerId v = 0; v < n; ++v) {
-    if (!graph_.is_active(v)) continue;
-    const auto survive_c =
-        phase2_service(v, ttl, cap_tick, service_time, rel, ts, sink);
-    phase2_emit(v, ttl, survive_c, ts, sink);
-  }
-
-  for (PeerId from = 0; from < n; ++from) phase3_peer(from, ttl, sink);
-
-  acc_util_ +=
-      util_nodes > 0 ? tick_util / static_cast<double>(util_nodes) : 0.0;
 }
 
 const std::vector<util::IndexSpan>& FlowNetwork::shard_spans() {
@@ -569,11 +467,24 @@ const std::vector<util::IndexSpan>& FlowNetwork::shard_spans() {
   return shard_spans_;
 }
 
+void FlowNetwork::set_profiler(obs::PhaseProfiler* profiler) {
+  profiler_ = profiler;
+  if (profiler_ == nullptr) return;
+  ph_arrivals_ = profiler_->phase("arrivals");
+  ph_service_emit_ = profiler_->phase("service_emit");
+  ph_fold_ = profiler_->phase("fold");
+}
+
 void FlowNetwork::refresh_shard_plan() {
   const std::size_t n = graph_.node_count();
   if (!shard_plan_dirty_ && shard_plan_nodes_ == n) return;
-  const std::size_t workers = pool_ ? pool_->size() : 1;
-  const std::size_t parts = config_.shards > 0 ? config_.shards : workers;
+  // Four spans per worker: degree weights only estimate a span's cost, so
+  // the pool's queue evens out slow spans and late wake-ups. Without a
+  // pool the tick runs as one inline span.
+  constexpr std::size_t kSpansPerWorker = 4;
+  const std::size_t parts =
+      config_.shards > 0 ? config_.shards
+                         : (pool_ ? kSpansPerWorker * pool_->size() : 1);
   // Weight each peer by 1 + degree: a span's cost is dominated by the
   // per-link work of its peers, and the +1 keeps isolated peers from
   // collapsing a span to zero weight.
@@ -586,99 +497,27 @@ void FlowNetwork::refresh_shard_plan() {
   shard_plan_nodes_ = n;
 }
 
-void FlowNetwork::step_sharded(std::size_t n, std::size_t ttl, double cap_tick,
-                               double service_time, double rel) {
-  refresh_shard_plan();
+template <typename Fn>
+void FlowNetwork::sweep_spans(Fn&& fn) {
   const std::size_t spans = shard_spans_.size();
-  if (spans <= 1) {
-    step_serial(n, ttl, cap_tick, service_time, rel);
+  if (!pool_ || spans <= 1) {
+    for (std::size_t s = 0; s < spans; ++s) fn(s);
     return;
   }
-  span_logs_.resize(spans);
-  for (SpanLog& log : span_logs_) log.clear();
-  if (span_scratch_.size() < spans) span_scratch_.resize(spans);
-
-  // Barrier 1: arrivals. Cross-shard reads of cur, exclusive writes of
-  // arrivals_[span] — must fully precede any nxt/cur mutation.
-  for (std::size_t s = 0; s < spans; ++s) {
-    pool_->submit([this, s, ttl, rel] {
-      SpanLogSink sink{span_logs_[s]};
-      const util::IndexSpan span = shard_spans_[s];
-      for (std::size_t to = span.begin; to < span.end; ++to) {
-        phase1_peer(static_cast<PeerId>(to), ttl, rel, sink);
-      }
-    });
-  }
+  for (std::size_t s = 0; s < spans; ++s) pool_->submit([&fn, s] { fn(s); });
   pool_->wait_idle();
+}
 
-  if (config_.discipline == ServiceDiscipline::kFairShare) {
-    // Fair share re-reads in-link cur vectors during service (cross-shard),
-    // so the cur-mutating emit/rotate work needs its own barrier.
-    survive_scratch_.resize(n);
-    for (std::size_t s = 0; s < spans; ++s) {
-      pool_->submit([this, s, ttl, cap_tick, service_time, rel] {
-        SpanLogSink sink{span_logs_[s]};
-        const util::IndexSpan span = shard_spans_[s];
-        for (std::size_t v = span.begin; v < span.end; ++v) {
-          if (!graph_.is_active(static_cast<PeerId>(v))) continue;
-          survive_scratch_[v] =
-              phase2_service(static_cast<PeerId>(v), ttl, cap_tick,
-                             service_time, rel, span_scratch_[s], sink);
-        }
-      });
-    }
-    pool_->wait_idle();
-    for (std::size_t s = 0; s < spans; ++s) {
-      pool_->submit([this, s, ttl] {
-        SpanLogSink sink{span_logs_[s]};
-        const util::IndexSpan span = shard_spans_[s];
-        for (std::size_t v = span.begin; v < span.end; ++v) {
-          if (!graph_.is_active(static_cast<PeerId>(v))) continue;
-          phase2_emit(static_cast<PeerId>(v), ttl, survive_scratch_[v],
-                      span_scratch_[s], sink);
-        }
-        for (std::size_t from = span.begin; from < span.end; ++from) {
-          phase3_peer(static_cast<PeerId>(from), ttl, sink);
-        }
-      });
-    }
-    pool_->wait_idle();
-  } else {
-    // Barrier 2 (fused phases 2+3): each peer writes only its own
-    // out-link nxt/cur state and reads only its own arrivals, so service,
-    // emission, clamping and rotation pipeline within one pass per span.
-    for (std::size_t s = 0; s < spans; ++s) {
-      pool_->submit([this, s, ttl, cap_tick, service_time, rel] {
-        SpanLogSink sink{span_logs_[s]};
-        const util::IndexSpan span = shard_spans_[s];
-        for (std::size_t v = span.begin; v < span.end; ++v) {
-          if (!graph_.is_active(static_cast<PeerId>(v))) continue;
-          const auto survive_c =
-              phase2_service(static_cast<PeerId>(v), ttl, cap_tick,
-                             service_time, rel, span_scratch_[s], sink);
-          phase2_emit(static_cast<PeerId>(v), ttl, survive_c,
-                      span_scratch_[s], sink);
-        }
-        for (std::size_t from = span.begin; from < span.end; ++from) {
-          phase3_peer(static_cast<PeerId>(from), ttl, sink);
-        }
-      });
-    }
-    pool_->wait_idle();
-  }
-
+void FlowNetwork::fold_span_logs() {
   // Canonical fold: replay every span's log in span (= peer) order, one
-  // accumulator at a time, phase 2 before phase 3 — the exact sequence of
-  // += operations the serial engine performs, hence bit-identical sums.
-  for (std::size_t s = 0; s < spans; ++s) {
-    for (const double v : span_logs_[s].transport_lost) {
-      acc_transport_lost_ += v;
-    }
+  // accumulator at a time, phase 2 before phase 3 — a fixed sequence of
+  // += operations whatever the span count, hence bit-identical sums.
+  for (const SpanLog& log : span_logs_) {
+    for (const double v : log.transport_lost) acc_transport_lost_ += v;
   }
   double tick_util = 0.0;
   std::size_t util_nodes = 0;
-  for (std::size_t s = 0; s < spans; ++s) {
-    const SpanLog& log = span_logs_[s];
+  for (const SpanLog& log : span_logs_) {
     for (const auto& d : log.p2_drops) {
       acc_dropped_ += d[0];
       acc_dropped_class_[static_cast<std::size_t>(TrafficClass::kGood)] += d[1];
@@ -697,8 +536,7 @@ void FlowNetwork::step_sharded(std::size_t n, std::size_t ttl, double cap_tick,
       acc_delay_load_ += pl[2];
     }
   }
-  for (std::size_t s = 0; s < spans; ++s) {
-    const SpanLog& log = span_logs_[s];
+  for (const SpanLog& log : span_logs_) {
     for (const auto& d : log.p3_drops) {
       acc_dropped_ += d[0];
       acc_dropped_class_[static_cast<std::size_t>(TrafficClass::kGood)] += d[1];
@@ -723,12 +561,66 @@ void FlowNetwork::step() {
   const double rel = config_.link_reliability;
   edge_state_.sync();
   arrivals_.resize(n);
+  refresh_shard_plan();
+  const std::size_t spans = shard_spans_.size();
+  span_logs_.resize(spans);
+  for (SpanLog& log : span_logs_) log.clear();
+  if (span_scratch_.size() < spans) span_scratch_.resize(spans);
 
-  if (pool_) {
-    step_sharded(n, ttl, cap_tick, service_time, rel);
-  } else {
-    step_serial(n, ttl, cap_tick, service_time, rel);
-  }
+  // Barrier 1: arrivals. Cross-shard reads of cur, exclusive writes of
+  // arrivals_[span] — must fully precede any cur refill.
+  obs::timed(profiler_, ph_arrivals_, [&] {
+    sweep_spans([this, ttl, rel](std::size_t s) {
+      const util::IndexSpan span = shard_spans_[s];
+      for (std::size_t to = span.begin; to < span.end; ++to) {
+        phase1_peer(static_cast<PeerId>(to), ttl, rel, span_logs_[s]);
+      }
+    });
+  });
+
+  obs::timed(profiler_, ph_service_emit_, [&] {
+    // Emit and clamp, peer by peer: each peer refills and clamps only its
+    // own out-links, while they are still in cache.
+    const auto emit_span = [this, ttl](std::size_t s, auto&& survive_of) {
+      const util::IndexSpan span = shard_spans_[s];
+      for (std::size_t v = span.begin; v < span.end; ++v) {
+        const auto p = static_cast<PeerId>(v);
+        if (!graph_.is_active(p)) continue;
+        phase2_emit(p, ttl, survive_of(p), span_scratch_[s], span_logs_[s]);
+        phase3_clamp(p, ttl, span_scratch_[s], span_logs_[s]);
+      }
+    };
+    if (config_.discipline == ServiceDiscipline::kFairShare) {
+      // Fair share re-reads in-link cur vectors during service
+      // (cross-shard), so every service runs before any emit refills one.
+      survive_scratch_.resize(n);
+      sweep_spans([this, ttl, cap_tick, service_time, rel](std::size_t s) {
+        const util::IndexSpan span = shard_spans_[s];
+        for (std::size_t v = span.begin; v < span.end; ++v) {
+          const auto p = static_cast<PeerId>(v);
+          if (!graph_.is_active(p)) continue;
+          survive_scratch_[v] = phase2_service(p, ttl, cap_tick, service_time,
+                                               rel, span_scratch_[s],
+                                               span_logs_[s]);
+        }
+      });
+      sweep_spans([this, &emit_span](std::size_t s) {
+        emit_span(s, [this](PeerId p) { return survive_scratch_[p]; });
+      });
+    } else {
+      // Service reads only the peer's own arrivals, so it runs in the
+      // same pass, right before the peer's emit.
+      sweep_spans(
+          [this, &emit_span, ttl, cap_tick, service_time, rel](std::size_t s) {
+            emit_span(s, [&](PeerId p) {
+              return phase2_service(p, ttl, cap_tick, service_time, rel,
+                                    span_scratch_[s], span_logs_[s]);
+            });
+          });
+    }
+  });
+
+  obs::timed(profiler_, ph_fold_, [&] { fold_span_logs(); });
 
   now_ += config_.tick_seconds;
   ++tick_count_;
@@ -889,10 +781,11 @@ void FlowNetwork::save(snapshot::Writer& w) const {
   for (const PeerKind k : kinds_) w.u8(static_cast<std::uint8_t>(k));
   snapshot::save_f64_vector(w, issue_scale_);
 
-  // Per-entry layout matches the pre-split engine (cur, nxt, minute_acc,
-  // minute_done interleaved per slot) so snapshots are exchangeable across
-  // the hot/cold storage change — and across any jobs/shards setting,
-  // which never influences this state.
+  // Per-entry layout matches the pre-split engine (cur, a next-tick block,
+  // minute_acc, minute_done interleaved per slot) so snapshots are
+  // exchangeable across storage changes — and across any jobs/shards
+  // setting, which never influences this state. The next-tick block is
+  // always zero between ticks; it is kept on the wire as zeros.
   std::size_t entries = 0;
   edge_state_.for_each(
       [&entries](std::uint32_t, const EdgeFlow&, const EdgeMinute&) {
@@ -905,9 +798,7 @@ void FlowNetwork::save(snapshot::Writer& w) const {
         for (const auto& cls : ef.cur) {
           for (const double v : cls) w.f64(v);
         }
-        for (const auto& cls : ef.nxt) {
-          for (const double v : cls) w.f64(v);
-        }
+        for (std::size_t i = 0; i < kClasses * kMaxTtl; ++i) w.f64(0.0);
         w.f64(em.minute_acc);
         w.f64(em.minute_done);
       });
@@ -965,8 +856,11 @@ void FlowNetwork::load(snapshot::Reader& r) {
     for (auto& cls : ef.cur) {
       for (double& v : cls) v = r.f64();
     }
-    for (auto& cls : ef.nxt) {
-      for (double& v : cls) v = r.f64();
+    for (std::size_t k = 0; k < kClasses * kMaxTtl; ++k) {
+      if (r.f64() != 0.0) {
+        throw snapshot::SnapshotError(
+            "flow state holds volume in the next-tick block");
+      }
     }
     EdgeMinute& em = edge_state_.cold(slot);
     em.minute_acc = r.f64();

@@ -51,6 +51,10 @@
 #include "util/types.hpp"
 #include "workload/content.hpp"
 
+namespace ddp::obs {
+class PhaseProfiler;
+}  // namespace ddp::obs
+
 namespace ddp::snapshot {
 class Writer;
 class Reader;
@@ -184,10 +188,10 @@ class FlowNetwork {
   void load(snapshot::Reader& r);
 
   /// The worker pool driving the sharded tick sweeps, or null when the
-  /// engine runs serially (jobs <= 1). Other per-minute sweeps (DD-POLICE
-  /// detection, monitor scans) borrow it so one scenario never stacks two
-  /// pools; they only ever use it between ticks, so there is no contention
-  /// with the flow phases.
+  /// engine runs its spans inline (jobs <= 1). Other per-minute sweeps
+  /// (DD-POLICE detection, monitor scans) borrow it so one scenario never
+  /// stacks two pools; they only ever use it between ticks, so there is no
+  /// contention with the flow phases.
   util::ThreadPool* worker_pool() noexcept { return pool_.get(); }
 
   /// The current shard plan: contiguous PeerId spans, degree-weighted so
@@ -195,14 +199,19 @@ class FlowNetwork {
   /// Exposed for the defense sweeps that reuse the flow partitioning.
   const std::vector<util::IndexSpan>& shard_spans();
 
+  /// Time the tick's stages into `profiler` (null detaches): "arrivals"
+  /// (phase 1), "service_emit" (service, emission and the bandwidth clamp,
+  /// phases 2 and 3) and "fold" (the canonical replay of the span logs).
+  void set_profiler(obs::PhaseProfiler* profiler);
+
  private:
-  /// Hot per-link state: the in-flight flow vectors every tick phase
-  /// streams (256 B). Split from the minute counters so phase sweeps and
+  /// Hot per-link state: the in-flight flow vector every tick phase
+  /// streams (128 B). Split from the minute counters so phase sweeps and
   /// monitor sweeps each touch only the arrays they need.
   struct EdgeFlow {
-    /// Flow in transit on the directed link, arriving next tick.
+    /// Flow in transit on the directed link, arriving next tick. Phase 1
+    /// consumes it; the sender's emit then refills it in place.
     std::array<std::array<double, kMaxTtl>, kClasses> cur{};
-    std::array<std::array<double, kMaxTtl>, kClasses> nxt{};
   };
   /// Cold per-link state: the per-minute Out_query counters DD-POLICE
   /// reads (16 B). The minute rotation and every defense counter sweep
@@ -212,12 +221,12 @@ class FlowNetwork {
     double minute_done = 0.0;  ///< volume sent in the last completed minute
   };
 
-  /// Per-span contribution log for the parallel tick path. Workers sweep
-  /// their contiguous peer span in canonical order and *record* every
-  /// value the serial engine would have added to a global accumulator;
-  /// the coordinator then replays the logs span-by-span. Because spans
-  /// partition the peer range in order, the concatenated replay is the
-  /// exact serial fold — same values, same order, bit-identical sums.
+  /// Per-span contribution log. Each span sweeps its contiguous peer
+  /// range in canonical order and *records* every value it would add to a
+  /// global accumulator; the coordinator then replays the logs span by
+  /// span. Because spans partition the peer range in order, the
+  /// concatenated replay is one fixed fold — same values, same order,
+  /// bit-identical sums at any span count, pooled or inline.
   struct SpanLog {
     std::vector<double> transport_lost;               ///< phase 1, per lossy in-link
     std::vector<std::array<double, 3>> p2_drops;      ///< {total, good, attack}
@@ -229,41 +238,38 @@ class FlowNetwork {
     std::vector<std::array<double, 2>> p3_traffic;    ///< {total, attack part}
     void clear() noexcept;
   };
-  struct SpanLogSink;
 
-  /// Per-worker scratch for phase 2 (fair-share waterfill buffers, the
-  /// out-edge pointer batch) — reused across ticks, one per shard span so
-  /// concurrent sweeps never share.
+  /// Per-span scratch (fair-share waterfill buffers, the emitted vector,
+  /// the out-edge pointer batch shared by emit and clamp) — reused across
+  /// ticks, one per span so concurrent sweeps never share.
   struct TickScratch {
     std::vector<EdgeFlow*> out_edges;
+    std::array<std::array<double, kMaxTtl>, kClasses> fill{};
     std::vector<double> edge_totals;
     std::vector<std::array<double, kClasses>> edge_class_totals;
     std::vector<char> done;
     std::array<std::array<double, kMaxTtl>, kClasses> fair_arrivals{};
   };
 
-  // The tick is three phases; each body processes one peer and reports
-  // accumulator contributions through a Sink (direct member accumulation
-  // on the serial path, SpanLog recording on the sharded path — the
-  // serial path's arithmetic is untouched by the sharding machinery).
-  template <typename Sink>
-  void phase1_peer(PeerId to, std::size_t ttl, double rel, Sink& sink);
-  template <typename Sink>
+  // The tick's per-peer bodies. Each reports accumulator contributions to
+  // its span's log, never to a shared accumulator.
+  void phase1_peer(PeerId to, std::size_t ttl, double rel, SpanLog& log);
   std::array<double, kClasses> phase2_service(PeerId v, std::size_t ttl,
                                               double cap_tick,
                                               double service_time, double rel,
-                                              TickScratch& ts, Sink& sink);
-  template <typename Sink>
+                                              TickScratch& ts, SpanLog& log);
   void phase2_emit(PeerId v, std::size_t ttl,
                    const std::array<double, kClasses>& survive_c,
-                   TickScratch& ts, Sink& sink);
-  template <typename Sink>
-  void phase3_peer(PeerId from, std::size_t ttl, Sink& sink);
+                   TickScratch& ts, SpanLog& log);
+  void phase3_clamp(PeerId from, std::size_t ttl, const TickScratch& ts,
+                    SpanLog& log);
 
-  void step_serial(std::size_t n, std::size_t ttl, double cap_tick,
-                   double service_time, double rel);
-  void step_sharded(std::size_t n, std::size_t ttl, double cap_tick,
-                    double service_time, double rel);
+  /// Run fn(span index) for every span of the shard plan: on the pool
+  /// with a barrier when there is one and more than one span, inline in
+  /// span order otherwise.
+  template <typename Fn>
+  void sweep_spans(Fn&& fn);
+  void fold_span_logs();
   void refresh_shard_plan();
 
   void rotate_minute();
@@ -285,9 +291,9 @@ class FlowNetwork {
   /// flow-side erase.
   topology::SplitEdgeMap<EdgeFlow, EdgeMinute> edge_state_;
 
-  /// Sharded-sweep machinery (absent on the serial path): the worker
-  /// pool, the degree-weighted contiguous peer spans, per-span logs and
-  /// scratch, and the fair-share survive carry between barriers.
+  /// Span-sweep machinery: the worker pool (absent at jobs <= 1), the
+  /// degree-weighted contiguous peer spans, per-span logs and scratch,
+  /// and the fair-share survive carry between barriers.
   std::unique_ptr<util::ThreadPool> pool_;
   std::vector<util::IndexSpan> shard_spans_;
   std::vector<std::uint64_t> shard_weights_;
@@ -296,6 +302,9 @@ class FlowNetwork {
   std::vector<std::array<double, kClasses>> survive_scratch_;
   bool shard_plan_dirty_ = true;
   std::size_t shard_plan_nodes_ = 0;
+
+  obs::PhaseProfiler* profiler_ = nullptr;
+  std::size_t ph_arrivals_ = 0, ph_service_emit_ = 0, ph_fold_ = 0;
 
   topology::CoverageProfile profile_;  ///< exact reach ratios (per-hop)
   /// Per-hop forwarding damping, calibrated closed-loop: a unit impulse

@@ -2,7 +2,8 @@
 
 /// \file spans.hpp
 /// Deterministic contiguous partitioning of an index range into work
-/// spans. The sharded engines hand one span per worker; because the cut
+/// spans. The sharded sweeps queue their spans on a worker pool (the flow
+/// engine four per worker, the flag scan one per worker); because the cut
 /// points are a pure function of (weights, parts) — never of thread
 /// timing — the same inputs always produce the same plan, which is one of
 /// the two legs the sharded flow engine's jobs-invariance stands on (the

@@ -1,11 +1,14 @@
 #pragma once
 
 /// \file thread_pool.hpp
-/// Fixed-size worker pool for trial-granularity parallelism. The sim
-/// engine is strictly single-writer (see sim/engine.hpp), so the unit of
-/// parallel work in this codebase is a whole self-contained trial — own
-/// engine, own RNG stream, own tracer/metrics — and the pool only ever
-/// runs such closed tasks. Nothing here is exposed to simulation code.
+/// Fixed-size worker pool with two kinds of user. Sweep runners hand it
+/// whole self-contained trials — own engine, own RNG stream, own
+/// tracer/metrics. Inside one simulation, the flow engine's tick phases
+/// (flow::FlowNetwork) and DD-POLICE's flag scan hand it contiguous peer
+/// spans: each task writes only its own span's state and its own
+/// contribution log, and the coordinating thread folds the logs in span
+/// order after wait_idle(), so output never depends on scheduling. The
+/// packet engine stays strictly single-writer (see sim/engine.hpp).
 ///
 /// Semantics: submit() enqueues a task; wait_idle() blocks the caller
 /// until every submitted task has finished. Tasks must not submit further

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -116,10 +118,16 @@ struct ProtocolWorld {
   std::unique_ptr<workload::ContentModel> content;
   std::unique_ptr<flow::FlowNetwork> net;
   std::unique_ptr<flow::FlowPort> port;
+  std::unique_ptr<OverlayPort> police_port;  ///< set when a test wraps `port`
   std::unique_ptr<DdPolice> police;
 
+  /// `wrap`, when given, builds the port DdPolice talks through around
+  /// the flow port (tests that observe the protocol's reads).
+  using PortWrapper =
+      std::function<std::unique_ptr<OverlayPort>(OverlayPort& inner)>;
+
   ProtocolWorld(topology::Graph g, const DdPoliceConfig& cfg,
-                std::uint64_t seed = 33)
+                std::uint64_t seed = 33, const PortWrapper& wrap = {})
       : graph(std::move(g)) {
     util::Rng rng(seed);
     util::Rng bw_rng = rng.fork("bw");
@@ -134,7 +142,9 @@ struct ProtocolWorld {
     net = std::make_unique<flow::FlowNetwork>(graph, *bandwidth, *content, fc,
                                               rng.fork("flow"));
     port = std::make_unique<flow::FlowPort>(*net);
-    police = std::make_unique<DdPolice>(*port, cfg, rng.fork("ddp"));
+    if (wrap) police_port = wrap(*port);
+    police = std::make_unique<DdPolice>(
+        police_port ? *police_port : *port, cfg, rng.fork("ddp"));
     net->add_minute_hook([this](double m) { police->on_minute(m); });
   }
 };
@@ -282,6 +292,81 @@ TEST(DdPolice, RadiusTwoDefeatsDeflation) {
   }
   EXPECT_FALSE(victim_cut);
   EXPECT_TRUE(agent_cut);
+}
+
+/// Counts Out_query(from -> to) reads while `armed`, per minute.
+struct CountingPort final : OverlayPort {
+  explicit CountingPort(OverlayPort& inner) : inner(inner) {}
+  const topology::Graph& graph() const override { return inner.graph(); }
+  double sent_last_minute(PeerId from, PeerId to) const override {
+    if (armed) ++reads[{from, to, minute}];
+    return inner.sent_last_minute(from, to);
+  }
+  void disconnect(PeerId a, PeerId b) override { inner.disconnect(a, b); }
+  void report_overhead(double messages) override {
+    inner.report_overhead(messages);
+  }
+
+  OverlayPort& inner;
+  bool armed = false;
+  long minute = 0;
+  mutable std::map<std::tuple<PeerId, PeerId, long>, int> reads;
+};
+
+/// Only peer 0 is ever suspicious, and nobody is ever convicted.
+struct HubOnlyThresholds final : ThresholdPolicy {
+  double warning_threshold(PeerId, PeerId suspect) const override {
+    return suspect == 0 ? 500.0 : std::numeric_limits<double>::infinity();
+  }
+  double cut_threshold(PeerId, PeerId) const override { return 1e12; }
+};
+
+TEST(DdPolice, RadiusTwoScansEachMemberOncePerRound) {
+  // A hub suspect flagged by its ten leaves, each leaf with one private
+  // neighbour. Under r = 2 every judge cross-checks every other leaf's
+  // links besides the hub; within a round that reading is the same for
+  // all of them, so each leaf's private link is read once per round.
+  constexpr PeerId kLeaves = 10;
+  topology::Graph g(2 * kLeaves + 1);
+  for (PeerId i = 1; i <= kLeaves; ++i) {
+    g.add_edge(0, i);
+    g.add_edge(i, kLeaves + i);
+  }
+  DdPoliceConfig cfg;
+  cfg.buddy_radius = 2;
+  CountingPort* counting = nullptr;
+  ProtocolWorld w(std::move(g), cfg, 33, [&counting](OverlayPort& inner) {
+    auto wrapped = std::make_unique<CountingPort>(inner);
+    counting = wrapped.get();
+    return wrapped;
+  });
+  HubOnlyThresholds thresholds;
+  w.police->set_threshold_policy(&thresholds);
+  w.net->set_kind(0, PeerKind::kBad);
+  // Only rounds call the report policy, and the flag scan runs before
+  // them: count from a round's first answer to the end of the minute.
+  w.police->set_report_policy(
+      [counting](PeerId, PeerId, const TrafficTruth& t)
+          -> std::optional<TrafficTruth> {
+        counting->armed = true;
+        return t;
+      });
+  w.net->add_minute_hook([counting](double) {
+    counting->armed = false;
+    ++counting->minute;
+  });
+  w.net->run_minutes(4.0);
+
+  const std::uint64_t rounds = w.police->rounds_run();
+  ASSERT_GE(rounds, 2u);
+  std::uint64_t scanned = 0;
+  for (const auto& [key, n] : counting->reads) {
+    const auto [from, to, minute] = key;
+    if (from == 0 || from > kLeaves || to != kLeaves + from) continue;
+    ++scanned;
+    EXPECT_EQ(n, 1) << "leaf " << from << " minute " << minute;
+  }
+  EXPECT_EQ(scanned, rounds * kLeaves);
 }
 
 TEST(DdPolice, FabricatedNeighborListDisconnectsLiar) {

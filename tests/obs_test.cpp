@@ -469,7 +469,18 @@ TEST(ObsContract, TracingAndProfilingChangeNoResults) {
             (std::vector<std::string>{"exchange", "flag_scan", "rounds"}));
   for (const auto& ph : observed.profile->phases()) {
     EXPECT_NE(ph.name, "rounds");
+    EXPECT_NE(ph.name, "service_emit");
   }
+  // The flow tick's stages land in a third profile, once per tick each.
+  ASSERT_NE(observed.flow_profile, nullptr);
+  EXPECT_EQ(plain.flow_profile, nullptr);
+  std::vector<std::string> flow_stages;
+  for (const auto& ph : observed.flow_profile->phases()) {
+    flow_stages.push_back(ph.name);
+    EXPECT_EQ(ph.calls, 8u * 60u) << ph.name;
+  }
+  EXPECT_EQ(flow_stages, (std::vector<std::string>{"arrivals", "service_emit",
+                                                   "fold"}));
 
   // Bit-identical outcomes: observation consumes no randomness.
   EXPECT_EQ(plain.summary.avg_success_rate,

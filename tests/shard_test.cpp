@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -404,6 +405,94 @@ TEST(ShardMerge, SnapshotStateIsShardInvariant) {
     return w.finish(0);
   };
   EXPECT_EQ(dump(*serial.net), dump(*sharded.net));
+}
+
+std::vector<std::uint8_t> dump_flow(const flow::FlowNetwork& net) {
+  snapshot::Writer w;
+  w.begin_section(1);
+  net.save(w);
+  w.end_section();
+  return w.finish(0);
+}
+
+void restore_flow(flow::FlowNetwork& net, std::vector<std::uint8_t> bytes) {
+  snapshot::Reader r = snapshot::Reader::from_bytes(std::move(bytes));
+  r.begin_section(1);
+  net.load(r);
+  r.end_section();
+}
+
+TEST(ShardMerge, MidMinuteRestoreReproducesRunUnderFairShareAndLoss) {
+  // Fair share runs service in its own barrier and lossy links log
+  // transport losses: restoring 30 ticks into a minute must still replay
+  // the uninterrupted run exactly, inline and pooled.
+  flow::FlowConfig cfg;
+  cfg.discipline = flow::ServiceDiscipline::kFairShare;
+  cfg.link_reliability = 0.9;
+  std::vector<std::uint8_t> final_state;
+  for (const unsigned jobs : {1u, 4u}) {
+    cfg.jobs = jobs;
+    FlowWorld full(17, cfg);
+    full.net->run_until_minute(3.0);
+
+    FlowWorld first(17, cfg);
+    first.net->run_until_minute(1.5);
+    FlowWorld resumed(17, cfg);
+    restore_flow(*resumed.net, dump_flow(*first.net));
+    resumed.net->run_until_minute(3.0);
+
+    const auto& want = full.net->minute_history();
+    const auto& got = resumed.net->minute_history();
+    ASSERT_EQ(got.size(), want.size()) << "jobs=" << jobs;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      expect_identical_reports(got[i], want[i]);
+    }
+    EXPECT_GT(want.back().transport_lost, 0.0);
+    EXPECT_EQ(resumed.net->total_in_flight(), full.net->total_in_flight());
+    EXPECT_EQ(dump_flow(*resumed.net), dump_flow(*full.net)) << "jobs=" << jobs;
+    if (final_state.empty()) final_state = dump_flow(*full.net);
+    EXPECT_EQ(dump_flow(*full.net), final_state) << "jobs=" << jobs;
+  }
+}
+
+TEST(FlowSnapshot, RejectsVolumeInTheRetiredNextTickBlock) {
+  // Each saved link carries a second 16-double block after its in-flight
+  // vector, kept for layout compatibility. Between ticks it is always
+  // zero, so a snapshot with volume there was not written by save().
+  flow::FlowConfig cfg;
+  FlowWorld w(23, cfg);
+  w.net->run_until_minute(0.5);
+  std::vector<std::uint8_t> bytes = dump_flow(*w.net);
+
+  // Image: 24-byte header, then one section: id (4), length (8), crc (4),
+  // payload. Payload: kinds (count + a byte each), issue scales (count +
+  // a double each), the entry count, then per entry a slot id (4), the
+  // in-flight block and the next-tick block (128 bytes each).
+  constexpr std::size_t kCrcAt = 24 + 4 + 8;
+  constexpr std::size_t kPayloadAt = kCrcAt + 4;
+  const std::size_t peers = w.graph.node_count();
+  const std::size_t entries_at = kPayloadAt + 8 + peers + 8 + 8 * peers;
+  std::uint64_t entries = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    entries |= std::uint64_t{bytes[entries_at + i]} << (8 * i);
+  }
+  ASSERT_GT(entries, 0u) << "no link state saved";
+  const std::size_t next_block_at = entries_at + 8 + 4 + 128;
+  for (std::size_t i = 0; i < 128; ++i) {
+    ASSERT_EQ(bytes[next_block_at + i], 0u);
+  }
+  FlowWorld same(23, cfg);
+  EXPECT_NO_THROW(restore_flow(*same.net, bytes));
+
+  const double one = 1.0;
+  std::memcpy(&bytes[next_block_at], &one, sizeof one);  // little-endian host
+  const std::uint32_t crc =
+      snapshot::crc32(&bytes[kPayloadAt], bytes.size() - kPayloadAt);
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[kCrcAt + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+  FlowWorld other(23, cfg);
+  EXPECT_THROW(restore_flow(*other.net, bytes), snapshot::SnapshotError);
 }
 
 }  // namespace
