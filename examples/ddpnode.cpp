@@ -12,10 +12,13 @@
 ///       minute_seconds=0.5 duration_min=6 police=1 echo_correction=1
 ///       warning=500 ct=5 q=100 capacity=10000 confirmations=2
 ///       suppression_s=5 collect_s=5 exchange_min=2
-///       stats=results/node0.jsonl seed=1
+///       trace=results/node0.jsonl seed=1
 ///
+/// trace= names the node's obs JSONL trace (peer_joined, one
+/// minute_report per protocol minute, the judge's police events; see
+/// netengine/node.hpp). trace_tool inspect/summary/forensics read it.
 /// duration_min=0 runs until SIGTERM/SIGINT; either way shutdown is
-/// orderly (final stats line, every fd closed).
+/// orderly (final minute_report, every fd closed).
 
 #include <cstdio>
 #include <string>
@@ -76,7 +79,7 @@ int main(int argc, char** argv) {
   // confirmations=1 restores the paper's first-trip verdict.
   cfg.ddp.cut_confirmations =
       static_cast<int>(opt.get("confirmations", std::int64_t{2}));
-  cfg.stats_path = opt.get("stats", std::string{});
+  cfg.trace_path = opt.get("trace", std::string{});
   cfg.seed = static_cast<std::uint64_t>(opt.get("seed", std::int64_t{1}));
 
   netengine::Node node(cfg);

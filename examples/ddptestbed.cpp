@@ -12,8 +12,8 @@
 ///   ddptestbed report dir=results/testbed [attack_start=1]
 ///       [csv=results/testbed_report.csv] [strict=0]
 ///
-/// aggregates the per-node JSONL stats in `dir` into detection-latency
-/// and cut-correctness numbers. strict=1 exits nonzero unless every
+/// aggregates the per-node obs JSONL traces in `dir` into
+/// detection-latency and cut-correctness numbers. strict=1 exits nonzero unless every
 /// attacker was cut and no honest peer was (the check.sh --net gate).
 
 #include <fstream>
@@ -107,7 +107,7 @@ int run_report(const ddp::util::Options& opt) {
 
   if (opt.get("strict", false)) {
     if (report.nodes_reporting == 0) {
-      std::cerr << "STRICT FAIL: no stats files\n";
+      std::cerr << "STRICT FAIL: no node traces\n";
       return 1;
     }
     if (report.attackers_cut < report.attackers) {

@@ -120,36 +120,10 @@ echo "== golden byte-identity gate (figure CSVs + short trace) =="
 # refactor that claims bit-exactness must leave every hash untouched
 # (regenerate with scripts/regen_golden.sh when a change is *meant* to
 # shift results, and say so in the PR).
+# The runs themselves are listed once, in scripts/golden_runs.sh.
+. "$repo/scripts/golden_runs.sh"
 mkdir -p "$tmp/golden"
-env -u DDP_FULL -u DDP_SEED ./build/bench/bench_fig5_capacity \
-    --out-dir "$tmp/golden" > /dev/null
-env -u DDP_FULL -u DDP_SEED DDP_TRIALS=1 ./build/bench/bench_fig11_success \
-    --out-dir "$tmp/golden" > /dev/null
-env -u DDP_FULL -u DDP_SEED DDP_TRIALS=1 ./build/bench/bench_attack_rate \
-    --out-dir "$tmp/golden" > /dev/null
-./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 \
-    trace="$tmp/golden/ddpsim_short.jsonl" \
-    csv="$tmp/golden/ddpsim_short.csv" > /dev/null
-# The same scenario with colluding reporters, fabricated neighbour lists
-# and a lossy, corrupting control channel: the default run above never
-# calls a ReportPolicy or ListPolicy and never touches the faulty
-# transport, so it cannot see a change to those paths.
-./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 \
-    cheat=collude lists=fabricate loss=0.05 corrupt=0.02 \
-    trace="$tmp/golden/ddpsim_cheat.jsonl" \
-    csv="$tmp/golden/ddpsim_cheat.csv" > /dev/null
-# Two runs through the flow engine's other service branches, on lossy,
-# duplicating data links (link_reliability < 1): max-min fair share, and
-# priority admission. The runs above only reach pooled class-blind
-# service on perfect links.
-./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 \
-    defense=fair-share data_faults=1 loss=0.05 dup=0.02 \
-    trace="$tmp/golden/ddpsim_fairshare.jsonl" \
-    csv="$tmp/golden/ddpsim_fairshare.csv" > /dev/null
-./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 \
-    admission=priority data_faults=1 loss=0.05 dup=0.02 \
-    trace="$tmp/golden/ddpsim_priority.jsonl" \
-    csv="$tmp/golden/ddpsim_priority.csv" > /dev/null
+golden_runs "$tmp/golden"
 if (cd "$tmp/golden" && sha256sum -c "$repo/tests/golden/sha256sums.txt"); then
   echo "golden byte-identity: OK"
 else

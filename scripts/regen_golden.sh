@@ -12,31 +12,11 @@ cd "$(dirname "$0")/.."
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-env -u DDP_FULL -u DDP_SEED ./build/bench/bench_fig5_capacity \
-    --out-dir "$tmp" > /dev/null
-env -u DDP_FULL -u DDP_SEED DDP_TRIALS=1 ./build/bench/bench_fig11_success \
-    --out-dir "$tmp" > /dev/null
-env -u DDP_FULL -u DDP_SEED DDP_TRIALS=1 ./build/bench/bench_attack_rate \
-    --out-dir "$tmp" > /dev/null
-./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 \
-    trace="$tmp/ddpsim_short.jsonl" csv="$tmp/ddpsim_short.csv" > /dev/null
-./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 \
-    cheat=collude lists=fabricate loss=0.05 corrupt=0.02 \
-    trace="$tmp/ddpsim_cheat.jsonl" csv="$tmp/ddpsim_cheat.csv" > /dev/null
-./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 \
-    defense=fair-share data_faults=1 loss=0.05 dup=0.02 \
-    trace="$tmp/ddpsim_fairshare.jsonl" csv="$tmp/ddpsim_fairshare.csv" \
-    > /dev/null
-./build/examples/ddpsim peers=300 agents=20 minutes=8 seed=7 \
-    admission=priority data_faults=1 loss=0.05 dup=0.02 \
-    trace="$tmp/ddpsim_priority.jsonl" csv="$tmp/ddpsim_priority.csv" \
-    > /dev/null
+. scripts/golden_runs.sh
+golden_runs "$tmp"
 
 mkdir -p tests/golden
-(cd "$tmp" && sha256sum fig5_capacity.csv fig11_success.csv \
-    attack_rate.csv ddpsim_short.csv ddpsim_short.jsonl \
-    ddpsim_cheat.csv ddpsim_cheat.jsonl ddpsim_fairshare.csv \
-    ddpsim_fairshare.jsonl ddpsim_priority.csv ddpsim_priority.jsonl) \
-    > tests/golden/sha256sums.txt
+# shellcheck disable=SC2086  # $golden_files is a word list
+(cd "$tmp" && sha256sum $golden_files) > tests/golden/sha256sums.txt
 echo "wrote tests/golden/sha256sums.txt:"
 cat tests/golden/sha256sums.txt

@@ -3,7 +3,8 @@
 #
 # Plans an overlay with ddptestbed, launches one ddpnode process per peer
 # on 127.0.0.1, waits for the run to finish, then aggregates the per-node
-# JSONL stats into a detection-latency / cut-correctness report.
+# obs JSONL traces (node<i>.jsonl, readable with trace_tool) into a
+# detection-latency / cut-correctness report.
 #
 # Usage:
 #   scripts/testbed.sh [peers] [attackers] [extra ddptestbed-plan args...]
@@ -69,7 +70,7 @@ while IFS= read -r line; do
   [[ "$line" == \#* || -z "$line" ]] && continue
   idx="${line#index=}"; idx="${idx%% *}"
   # shellcheck disable=SC2086  # the plan line IS the argument vector
-  "$ddpnode" $line stats="$out_dir/node$idx.jsonl" &
+  "$ddpnode" $line trace="$out_dir/node$idx.jsonl" &
   pids+=($!)
   launched=$((launched + 1))
 done < "$out_dir/plan.txt"

@@ -219,8 +219,7 @@ void AttackScenario::drive_sourcing(double minute) {
 }
 
 void AttackScenario::save(snapshot::Writer& w) const {
-  w.size(agents_.size());
-  for (const PeerId p : agents_) w.u32(p);
+  snapshot::save_u32_vector(w, agents_);
   w.size(is_agent_.size());
   for (const char c : is_agent_) w.boolean(c != 0);
   snapshot::save_f64_vector(w, rejoin_due_);
@@ -228,15 +227,13 @@ void AttackScenario::save(snapshot::Writer& w) const {
   w.u64(rejoins_);
   w.f64(started_minute_);
   snapshot::save_f64_vector(w, probe_scale_);
-  w.size(prev_degree_.size());
-  for (const std::uint32_t d : prev_degree_) w.u32(d);
+  snapshot::save_u32_vector(w, prev_degree_);
   snapshot::save_rng(w, rng_);
 }
 
 void AttackScenario::load(snapshot::Reader& r) {
   constexpr std::size_t kMaxPeers = 1u << 24;
-  agents_.resize(r.size(kMaxPeers));
-  for (PeerId& p : agents_) p = r.u32();
+  snapshot::load_u32_vector(r, agents_, kMaxPeers);
   is_agent_.resize(r.size(kMaxPeers));
   for (char& c : is_agent_) c = r.boolean() ? 1 : 0;
   snapshot::load_f64_vector(r, rejoin_due_, kMaxPeers);
@@ -244,8 +241,7 @@ void AttackScenario::load(snapshot::Reader& r) {
   rejoins_ = static_cast<std::size_t>(r.u64());
   started_minute_ = r.f64();
   snapshot::load_f64_vector(r, probe_scale_, kMaxPeers);
-  prev_degree_.resize(r.size(kMaxPeers));
-  for (std::uint32_t& d : prev_degree_) d = r.u32();
+  snapshot::load_u32_vector(r, prev_degree_, kMaxPeers);
   snapshot::load_rng(r, rng_);
   if (rejoin_due_.size() != net_.graph().node_count()) {
     throw snapshot::SnapshotError("attack rejoin schedule size != node count");

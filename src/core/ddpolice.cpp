@@ -628,20 +628,6 @@ void DdPolice::run_round(PeerId suspect, const std::vector<PeerId>& judges,
   }
 }
 
-namespace {
-
-void save_peer_vector(snapshot::Writer& w, const std::vector<PeerId>& v) {
-  w.size(v.size());
-  for (const PeerId p : v) w.u32(p);
-}
-
-void load_peer_vector(snapshot::Reader& r, std::vector<PeerId>& v) {
-  v.resize(r.size(1u << 24));
-  for (PeerId& p : v) p = r.u32();
-}
-
-}  // namespace
-
 void save_decision(snapshot::Writer& w, const Decision& d) {
   w.f64(d.minute);
   w.u32(d.judge);
@@ -674,15 +660,17 @@ void DdPolice::save(snapshot::Writer& w) const {
     w.size(held.size());
     for (const Snapshot& s : held) {
       w.u32(s.about);
-      save_peer_vector(w, s.members);
-      save_peer_vector(w, s.prev_members);
+      snapshot::save_u32_vector(w, s.members);
+      snapshot::save_u32_vector(w, s.prev_members);
       w.f64(s.minute);
     }
   });
   w.u64(snapshot_count_);
   snapshot::save_f64_vector(w, next_exchange_minute_);
   w.size(last_advertised_.size());
-  for (const std::vector<PeerId>& adv : last_advertised_) save_peer_vector(w, adv);
+  for (const std::vector<PeerId>& adv : last_advertised_) {
+    snapshot::save_u32_vector(w, adv);
+  }
 
   w.size(decisions_.size());
   for (const Decision& d : decisions_) save_decision(w, d);
@@ -706,8 +694,8 @@ void DdPolice::load(snapshot::Reader& r) {
     held.resize(r.size(kMaxPeers));
     for (Snapshot& s : held) {
       s.about = r.u32();
-      load_peer_vector(r, s.members);
-      load_peer_vector(r, s.prev_members);
+      snapshot::load_u32_vector(r, s.members, kMaxPeers);
+      snapshot::load_u32_vector(r, s.prev_members, kMaxPeers);
       const std::size_t peers = port_.graph().node_count();
       if (names_unknown_peer(s.members, peers) ||
           names_unknown_peer(s.prev_members, peers)) {
@@ -719,7 +707,9 @@ void DdPolice::load(snapshot::Reader& r) {
   snapshot_count_ = r.u64();
   snapshot::load_f64_vector(r, next_exchange_minute_, kMaxPeers);
   last_advertised_.resize(r.size(kMaxPeers));
-  for (std::vector<PeerId>& adv : last_advertised_) load_peer_vector(r, adv);
+  for (std::vector<PeerId>& adv : last_advertised_) {
+    snapshot::load_u32_vector(r, adv, kMaxPeers);
+  }
 
   decisions_.resize(r.size(1u << 26));
   for (Decision& d : decisions_) load_decision(r, d);

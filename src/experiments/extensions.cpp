@@ -8,19 +8,6 @@
 
 namespace ddp::experiments {
 
-namespace {
-
-ScenarioConfig scaled(const Scale& scale, std::size_t agents,
-                      defense::Kind kind, std::uint64_t seed) {
-  ScenarioConfig cfg = paper_scenario(scale.peers, agents, kind, seed);
-  cfg.total_minutes = scale.total_minutes;
-  cfg.warmup_minutes = scale.warmup_minutes;
-  cfg.attack.start_minute = scale.attack_start;
-  return cfg;
-}
-
-}  // namespace
-
 // ===================================================== defense comparison
 
 std::vector<DefenseRow> run_defense_comparison(const Scale& scale,
@@ -47,8 +34,9 @@ std::vector<DefenseRow> run_defense_comparison(const Scale& scale,
     row.defense = c.label;
     for (std::uint32_t t = 0; t < scale.trials; ++t) {
       const std::uint64_t s = seed + 1000003ULL * t;
-      const auto base = run_baseline(scaled(scale, 0, defense::Kind::kNone, s));
-      ScenarioConfig cfg = scaled(scale, c.attack, c.kind, s);
+      const auto base =
+          run_baseline(scaled_scenario(scale, 0, defense::Kind::kNone, s));
+      ScenarioConfig cfg = scaled_scenario(scale, c.attack, c.kind, s);
       cfg.fault = fault;
       const auto r = c.attack == 0 ? base : run_scenario(cfg);
       row.success_pct += r.summary.avg_success_rate * 100.0;
@@ -131,8 +119,9 @@ std::vector<FaultRow> run_fault_ablation(const Scale& scale,
       for (std::uint32_t t = 0; t < scale.trials; ++t) {
         const std::uint64_t s = seed + 1000003ULL * t;
         const auto base =
-            run_baseline(scaled(scale, 0, defense::Kind::kNone, s));
-        ScenarioConfig cfg = scaled(scale, agents, defense::Kind::kDdPolice, s);
+            run_baseline(scaled_scenario(scale, 0, defense::Kind::kNone, s));
+        ScenarioConfig cfg =
+            scaled_scenario(scale, agents, defense::Kind::kDdPolice, s);
         cfg.fault.channel.drop_probability = loss;
         cfg.fault.channel.corrupt_probability = loss / 4.0;
         cfg.fault.channel.delay_jitter_seconds = jitter;
@@ -225,14 +214,16 @@ std::vector<TopologyRow> run_topology_ablation(const Scale& scale,
     std::uint32_t det_n = 0;
     for (std::uint32_t t = 0; t < scale.trials; ++t) {
       const std::uint64_t s = seed + 1000003ULL * t;
-      ScenarioConfig base_cfg = scaled(scale, 0, defense::Kind::kNone, s);
+      ScenarioConfig base_cfg =
+          scaled_scenario(scale, 0, defense::Kind::kNone, s);
       base_cfg.topo.model = c.model;
       const auto base = run_baseline(base_cfg);
-      ScenarioConfig none_cfg = scaled(scale, agents, defense::Kind::kNone, s);
+      ScenarioConfig none_cfg =
+          scaled_scenario(scale, agents, defense::Kind::kNone, s);
       none_cfg.topo.model = c.model;
       const auto none = run_scenario(none_cfg);
       ScenarioConfig ddp_cfg =
-          scaled(scale, agents, defense::Kind::kDdPolice, s);
+          scaled_scenario(scale, agents, defense::Kind::kDdPolice, s);
       ddp_cfg.topo.model = c.model;
       const auto ddp = run_scenario(ddp_cfg);
       row.baseline_success_pct += base.summary.avg_success_rate * 100.0;
@@ -286,7 +277,7 @@ std::vector<CutoffRow> run_cutoff_ablation(
         const auto t = static_cast<std::uint32_t>(idx % scale.trials);
         const std::uint64_t s = seed + 1000003ULL * t;
         ScenarioConfig cfg =
-            scaled(scale, agents, defense::Kind::kDdPolice, s);
+            scaled_scenario(scale, agents, defense::Kind::kDdPolice, s);
         cfg.topo.model = topology::Model::kHardCutoff;
         cfg.topo.hc_cutoff_exponent = exponent;
         cfg.obs.forensics = true;
@@ -416,9 +407,10 @@ std::vector<ChurnRow> run_churn_ablation(const Scale& scale,
           return cfg;
         };
         const auto base = run_baseline(
-            configure(scaled(scale, 0, defense::Kind::kNone, s)));
+            configure(scaled_scenario(scale, 0, defense::Kind::kNone, s)));
         const auto r = run_scenario(
-            configure(scaled(scale, agents, defense::Kind::kDdPolice, s)));
+            configure(scaled_scenario(
+                scale, agents, defense::Kind::kDdPolice, s)));
         const auto dmg = metrics::analyze_damage(
             r.history, base.summary.avg_success_rate, scale.attack_start);
         return Cell{static_cast<double>(r.errors.false_negative),
@@ -481,8 +473,10 @@ std::vector<RejoinRow> run_rejoin_study(const Scale& scale, std::size_t agents,
     row.rejoin_after_minutes = c.after;
     for (std::uint32_t t = 0; t < scale.trials; ++t) {
       const std::uint64_t s = seed + 1000003ULL * t;
-      const auto base = run_baseline(scaled(scale, 0, defense::Kind::kNone, s));
-      ScenarioConfig cfg = scaled(scale, agents, defense::Kind::kDdPolice, s);
+      const auto base =
+          run_baseline(scaled_scenario(scale, 0, defense::Kind::kNone, s));
+      ScenarioConfig cfg =
+          scaled_scenario(scale, agents, defense::Kind::kDdPolice, s);
       cfg.attack.rejoin = c.rejoin;
       cfg.attack.rejoin_after_minutes = c.after;
       const auto r = run_scenario(cfg);
@@ -533,12 +527,13 @@ std::vector<RateRow> run_attack_rate_sweep(const Scale& scale,
         const auto t = static_cast<std::uint32_t>(idx % scale.trials);
         const std::uint64_t s = seed + 1000003ULL * t;
         const auto base =
-            run_baseline(scaled(scale, 0, defense::Kind::kNone, s));
-        ScenarioConfig none_cfg = scaled(scale, agents, defense::Kind::kNone, s);
+            run_baseline(scaled_scenario(scale, 0, defense::Kind::kNone, s));
+        ScenarioConfig none_cfg =
+            scaled_scenario(scale, agents, defense::Kind::kNone, s);
         none_cfg.flow.attack_target_per_minute = rate;
         const auto none = run_scenario(none_cfg);
         ScenarioConfig ddp_cfg =
-            scaled(scale, agents, defense::Kind::kDdPolice, s);
+            scaled_scenario(scale, agents, defense::Kind::kDdPolice, s);
         ddp_cfg.flow.attack_target_per_minute = rate;
         const auto ddp = run_scenario(ddp_cfg);
         const auto dmg_none = metrics::analyze_damage(
@@ -647,7 +642,7 @@ std::vector<AdaptiveRow> run_adaptive_ct_ablation(const Scale& scale,
         const auto t = static_cast<std::uint32_t>(idx % scale.trials);
         const std::uint64_t s = seed + 1000003ULL * t;
         ScenarioConfig cfg =
-            scaled(scale, st.agents, defense::Kind::kDdPolice, s);
+            scaled_scenario(scale, st.agents, defense::Kind::kDdPolice, s);
         cfg.obs.forensics = true;
         st.apply(cfg);
         cfg.ddpolice.adaptive.enabled = pol.adaptive;

@@ -9,9 +9,6 @@
 
 namespace ddp::experiments {
 
-namespace {
-
-/// Configure a scenario at the sweep's scale.
 ScenarioConfig scaled_scenario(const Scale& scale, std::size_t agents,
                                defense::Kind kind, std::uint64_t seed) {
   ScenarioConfig cfg = paper_scenario(scale.peers, agents, kind, seed);
@@ -20,8 +17,6 @@ ScenarioConfig scaled_scenario(const Scale& scale, std::size_t agents,
   cfg.attack.start_minute = scale.attack_start;
   return cfg;
 }
-
-}  // namespace
 
 Scale default_scale() {
   Scale s;

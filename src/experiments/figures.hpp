@@ -36,6 +36,10 @@ struct Scale {
 /// overridable via DDP_TRIALS, jobs via DDP_JOBS.
 Scale default_scale();
 
+/// Configure a scenario at the sweep's scale.
+ScenarioConfig scaled_scenario(const Scale& scale, std::size_t agents,
+                               defense::Kind kind, std::uint64_t seed);
+
 // ---------------------------------------------------------------- Figs 9-11
 struct AgentSweepRow {
   std::size_t agents = 0;

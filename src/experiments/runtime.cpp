@@ -869,27 +869,7 @@ std::vector<std::uint8_t> ScenarioRuntime::save() const {
 }
 
 void ScenarioRuntime::save_file(const std::string& path) const {
-  const std::vector<std::uint8_t> image = save();
-  // save() already framed everything; write it out atomically through the
-  // same tmp+rename path Writer uses.
-  const std::string tmp = path + ".tmp";
-  {
-    std::FILE* f = std::fopen(tmp.c_str(), "wb");
-    if (f == nullptr) {
-      throw snapshot::SnapshotError("cannot open " + tmp + " for writing");
-    }
-    const std::size_t wrote = std::fwrite(image.data(), 1, image.size(), f);
-    const bool ok = wrote == image.size() && std::fflush(f) == 0;
-    std::fclose(f);
-    if (!ok) {
-      std::remove(tmp.c_str());
-      throw snapshot::SnapshotError("short write to " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw snapshot::SnapshotError("cannot rename " + tmp + " to " + path);
-  }
+  snapshot::write_image_file(path, save());
 }
 
 void ScenarioRuntime::load(snapshot::Reader& r) {

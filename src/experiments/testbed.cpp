@@ -6,56 +6,20 @@
 #include <map>
 #include <ostream>
 #include <set>
-#include <sstream>
-#include <string_view>
 
+#include "net/address.hpp"
+#include "obs/trace_read.hpp"
 #include "util/rng.hpp"
 
 namespace ddp::experiments {
 
 namespace {
 
-// ---- tiny flat-JSON field extractors -------------------------------------
-// The node stats lines are flat except for embedded arrays we don't need
-// per-field access into; keyed scalar extraction is enough and avoids a
-// JSON dependency.
-
-std::string_view find_value(std::string_view line, std::string_view key) {
-  std::string needle = "\"";
-  needle += key;
-  needle += "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return {};
-  return line.substr(pos + needle.size());
-}
-
-bool json_number(std::string_view line, std::string_view key, double* out) {
-  const std::string_view v = find_value(line, key);
-  if (v.empty()) return false;
-  try {
-    *out = std::stod(std::string(v.substr(0, v.find_first_of(",}]"))));
-  } catch (...) {
-    return false;
-  }
-  return true;
-}
-
-bool json_string(std::string_view line, std::string_view key,
-                 std::string* out) {
-  std::string_view v = find_value(line, key);
-  if (v.empty() || v.front() != '"') return false;
-  v.remove_prefix(1);
-  const auto end = v.find('"');
-  if (end == std::string_view::npos) return false;
-  *out = std::string(v.substr(0, end));
-  return true;
-}
-
-bool json_bool(std::string_view line, std::string_view key, bool* out) {
-  const std::string_view v = find_value(line, key);
-  if (v.empty()) return false;
-  *out = v.substr(0, 4) == "true";
-  return true;
+/// Dotted quad of an overlay address (the report's suspect column).
+std::string dotted_quad(std::uint32_t a) {
+  return std::to_string((a >> 24) & 0xff) + '.' +
+         std::to_string((a >> 16) & 0xff) + '.' +
+         std::to_string((a >> 8) & 0xff) + '.' + std::to_string(a & 0xff);
 }
 
 }  // namespace
@@ -137,83 +101,68 @@ void write_plan(const TestbedPlan& plan, std::ostream& out) {
   }
 }
 
-TestbedReport aggregate_stats(const std::string& stats_dir) {
+TestbedReport aggregate_stats(const std::string& trace_dir) {
   TestbedReport report;
-  // address -> attacker?, gathered from start lines before classifying cuts.
-  std::map<std::string, bool> attacker_by_address;
-  struct RawCut {
-    double index = 0, minute = 0, g = 0, s = 0;
-    std::string suspect;
-  };
-  std::vector<RawCut> raw;
+  // Overlay addresses of the attackers, from every peer_joined record, so
+  // an attacker that died before its attack start still counts.
+  std::set<std::uint32_t> attackers;
+  std::vector<obs::TraceRecord> cuts;
 
   std::vector<std::filesystem::path> files;
   std::error_code ec;
   for (const auto& entry :
-       std::filesystem::directory_iterator(stats_dir, ec)) {
+       std::filesystem::directory_iterator(trace_dir, ec)) {
     if (entry.path().extension() == ".jsonl") files.push_back(entry.path());
   }
   std::sort(files.begin(), files.end());
 
   for (const auto& path : files) {
     std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-      std::string type;
-      if (!json_string(line, "type", &type)) continue;
-      if (type == "start") {
+    std::vector<obs::TraceRecord> records = obs::read_trace_records(in);
+    const obs::TraceRecord* last_minute = nullptr;
+    for (obs::TraceRecord& r : records) {
+      if (r.known == obs::EventType::kPeerJoined) {
         ++report.nodes_reporting;
-        std::string address;
-        bool attacker = false;
-        if (json_string(line, "address", &address)) {
-          json_bool(line, "attacker", &attacker);
-          attacker_by_address[address] = attacker;
-          if (attacker) ++report.attackers;
-        }
-      } else if (type == "cut") {
-        RawCut c;
-        json_number(line, "index", &c.index);
-        json_number(line, "minute", &c.minute);
-        json_number(line, "g", &c.g);
-        json_number(line, "s", &c.s);
-        json_string(line, "suspect", &c.suspect);
-        raw.push_back(std::move(c));
-      } else if (type == "final") {
-        ++report.finals_reporting;
-        double v = 0;
-        if (json_number(line, "issued", &v))
-          report.total_issued += static_cast<std::uint64_t>(v);
-        if (json_number(line, "forwarded", &v))
-          report.total_forwarded += static_cast<std::uint64_t>(v);
-        if (json_number(line, "hits", &v))
-          report.total_hits += static_cast<std::uint64_t>(v);
+        if (r.field("attacker").value_or(0.0) != 0.0) attackers.insert(r.a);
+      } else if (r.known == obs::EventType::kSuspectCut) {
+        cuts.push_back(std::move(r));
+      } else if (r.known == obs::EventType::kMinuteReport) {
+        last_minute = &r;
       }
     }
+    if (last_minute == nullptr) continue;
+    if (last_minute->field("final")) ++report.finals_reporting;
+    const auto total = [last_minute](const char* key) {
+      return static_cast<std::uint64_t>(last_minute->field(key).value_or(0.0));
+    };
+    report.total_issued += total("issued");
+    report.total_forwarded += total("forwarded");
+    report.total_hits += total("hits");
   }
+  report.attackers = attackers.size();
 
-  std::map<std::string, double> first_cut;  // attacker address -> minute
-  std::set<std::string> honest_suspects;
-  for (const RawCut& c : raw) {
+  std::map<std::uint32_t, double> first_cut;  // attacker address -> minute
+  std::set<std::uint32_t> honest_suspects;
+  for (const obs::TraceRecord& c : cuts) {
     CutEvent e;
-    e.judge_index = static_cast<std::uint32_t>(c.index);
-    e.suspect = c.suspect;
-    e.minute = c.minute;
-    e.g = c.g;
-    e.s = c.s;
-    const auto it = attacker_by_address.find(c.suspect);
-    e.suspect_is_attacker = it != attacker_by_address.end() && it->second;
+    e.judge_index = net::peer_from_address(c.b);
+    e.suspect = dotted_quad(c.a);
+    e.minute = c.t / kMinute;
+    e.g = c.field("g").value_or(0.0);
+    e.s = c.field("s").value_or(0.0);
+    e.suspect_is_attacker = attackers.count(c.a) != 0;
     if (e.suspect_is_attacker) {
-      auto [slot, fresh] = first_cut.try_emplace(c.suspect, c.minute);
-      if (!fresh) slot->second = std::min(slot->second, c.minute);
+      auto [slot, fresh] = first_cut.try_emplace(c.a, e.minute);
+      if (!fresh) slot->second = std::min(slot->second, e.minute);
     } else {
-      honest_suspects.insert(c.suspect);
+      honest_suspects.insert(c.a);
     }
     report.cuts.push_back(std::move(e));
   }
-  std::sort(report.cuts.begin(), report.cuts.end(),
-            [](const CutEvent& a, const CutEvent& b) {
-              return a.minute < b.minute;
-            });
+  std::stable_sort(report.cuts.begin(), report.cuts.end(),
+                   [](const CutEvent& a, const CutEvent& b) {
+                     return a.minute < b.minute;
+                   });
 
   report.attackers_cut = first_cut.size();
   report.honest_cut = honest_suspects.size();

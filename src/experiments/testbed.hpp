@@ -9,9 +9,10 @@
 /// generated overlay, with an attacker cohort that starts flooding at a
 /// known protocol minute. This module is deliberately engine-free — it
 /// only *plans* the run (which process listens where, who dials whom,
-/// who is compromised) and *aggregates* the JSONL stats streams the
-/// node processes write, so it lives in ddp_experiments and is usable
-/// from both the ddptestbed CLI and the check.sh --net gate.
+/// who is compromised) and *aggregates* the obs JSONL trace each node
+/// process writes (netengine/node.hpp lists its events), so it lives in
+/// ddp_experiments and is usable from both the ddptestbed CLI and the
+/// check.sh --net gate.
 ///
 /// Plan file format: '#'-prefixed metadata lines followed by one
 /// "key=value ..." argument line per node, consumable verbatim as a
@@ -78,7 +79,7 @@ TestbedPlan make_plan(const TestbedConfig& config);
 /// Render the plan in the plan-file format described above.
 void write_plan(const TestbedPlan& plan, std::ostream& out);
 
-/// One judge->suspect disconnect observed in a stats stream.
+/// One judge->suspect disconnect: a suspect_cut record of a node trace.
 struct CutEvent {
   std::uint32_t judge_index = 0;
   std::string suspect;  ///< overlay address, dotted quad
@@ -89,10 +90,10 @@ struct CutEvent {
 };
 
 /// Aggregated outcome of one testbed run (from a directory of per-node
-/// JSONL stats files).
+/// trace files).
 struct TestbedReport {
-  std::size_t nodes_reporting = 0;  ///< stats files with a start line
-  std::size_t finals_reporting = 0; ///< stats files with a final line
+  std::size_t nodes_reporting = 0;  ///< peer_joined records read
+  std::size_t finals_reporting = 0; ///< files whose last minute_report is final
   std::size_t attackers = 0;
   std::size_t attackers_cut = 0;    ///< attackers cut by >= 1 judge
   std::size_t honest_cut = 0;       ///< distinct honest peers cut (FPs)
@@ -103,13 +104,17 @@ struct TestbedReport {
   /// Mean over attackers of their first cut minute (cut attackers only).
   double mean_detection_minute = -1.0;
 
+  /// Sums over the files of their last minute_report.
   std::uint64_t total_issued = 0;
   std::uint64_t total_forwarded = 0;
   std::uint64_t total_hits = 0;
 };
 
-/// Parse every *.jsonl stats file under `stats_dir`.
-TestbedReport aggregate_stats(const std::string& stats_dir);
+/// Read every *.jsonl node trace under `trace_dir`. The attacker set comes
+/// from peer_joined records, cuts from suspect_cut (addresses mapped back
+/// to indices with net::peer_from_address), totals from each file's last
+/// minute_report.
+TestbedReport aggregate_stats(const std::string& trace_dir);
 
 /// Per-cut-event CSV (plus a trailing summary comment), for results/.
 void write_report_csv(const TestbedReport& report, double attack_start_minute,

@@ -10,6 +10,19 @@
 
 namespace ddp::flow {
 
+namespace {
+
+/// Log a phase-2 drop {total, good, attack} unless all three are zero.
+/// The fold's drop sums are non-negative and start at +0.0, so adding a
+/// zero entry leaves them bit-for-bit unchanged: skipping it is exact.
+void log_drop(std::vector<std::array<double, 3>>& drops, double total,
+              double good, double attack) {
+  if (total == 0.0 && good == 0.0 && attack == 0.0) return;
+  drops.push_back({total, good, attack});
+}
+
+}  // namespace
+
 FlowNetwork::FlowNetwork(topology::Graph& graph,
                          const topology::BandwidthMap& bandwidth,
                          const workload::ContentModel& content,
@@ -272,13 +285,11 @@ std::array<double, kClasses> FlowNetwork::phase2_service(
       const EdgeFlow* ef = edge_state_.find(vin[e]);
       if (ef == nullptr || ts.edge_totals[e] <= 0.0) continue;
       const double sc = ts.done[e] ? 1.0 : share / ts.edge_totals[e];
-      log.p2_drops.push_back(
-          {ts.edge_totals[e] * (1.0 - sc),
-           ts.edge_class_totals[e][static_cast<std::size_t>(TrafficClass::kGood)] *
-               (1.0 - sc),
-           ts.edge_class_totals[e]
-                               [static_cast<std::size_t>(TrafficClass::kAttack)] *
-               (1.0 - sc)});
+      const auto& cls = ts.edge_class_totals[e];
+      log_drop(log.p2_drops, ts.edge_totals[e] * (1.0 - sc),
+               cls[static_cast<std::size_t>(TrafficClass::kGood)] * (1.0 - sc),
+               cls[static_cast<std::size_t>(TrafficClass::kAttack)] *
+                   (1.0 - sc));
       for (std::size_t c = 0; c < kClasses; ++c) {
         for (std::size_t k = 0; k < ttl; ++k) {
           ts.fair_arrivals[c][k] += ef->cur[c][k] * rel * sc;
@@ -308,14 +319,13 @@ std::array<double, kClasses> FlowNetwork::phase2_service(
     survive_c[bad] = sa;
     const double d_good = in_class[good] * (1.0 - sg);
     const double d_bad = in_class[bad] * (1.0 - sa);
-    log.p2_drops.push_back({d_good + d_bad, d_good, d_bad});
+    log_drop(log.p2_drops, d_good + d_bad, d_good, d_bad);
   } else {
-    log.p2_drops.push_back(
-        {in_total * (1.0 - survive),
-         in_class[static_cast<std::size_t>(TrafficClass::kGood)] *
-             (1.0 - survive),
-         in_class[static_cast<std::size_t>(TrafficClass::kAttack)] *
-             (1.0 - survive)});
+    log_drop(log.p2_drops, in_total * (1.0 - survive),
+             in_class[static_cast<std::size_t>(TrafficClass::kGood)] *
+                 (1.0 - survive),
+             in_class[static_cast<std::size_t>(TrafficClass::kAttack)] *
+                 (1.0 - survive));
   }
 
   const double rho = std::min(1.0, in_total / cap_tick);

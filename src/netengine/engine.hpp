@@ -20,7 +20,7 @@
 ///   - half-open sweep: a connection that has not produced a single
 ///     complete message within the handshake window is dropped;
 ///   - SIGTERM/SIGINT via signalfd: the loop wakes, stops, and the owner
-///     runs an orderly shutdown (flush stats, close every fd) — no
+///     runs an orderly shutdown (flush the trace, close every fd) — no
 ///     handler-context trickery, no leaked descriptors.
 ///
 /// Ownership: the engine owns fds and buffers; protocol state (who a

@@ -1,7 +1,6 @@
 #include "netengine/node.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace ddp::netengine {
 
@@ -20,13 +19,6 @@ constexpr std::uint32_t kCreditFlag = 0x80000000u;
 
 constexpr std::uint32_t origin_of(std::uint32_t from) noexcept {
   return from == kSelfOrigin ? kSelfOrigin : (from & ~kCreditFlag);
-}
-
-std::string address_string(std::uint32_t a) {
-  std::ostringstream os;
-  os << ((a >> 24) & 0xff) << '.' << ((a >> 16) & 0xff) << '.'
-     << ((a >> 8) & 0xff) << '.' << (a & 0xff);
-  return os.str();
 }
 
 }  // namespace
@@ -55,10 +47,10 @@ Node::Node(const NodeConfig& config)
   };
   h.on_close = [this](ConnId id, CloseReason r) { on_close(id, r); };
   engine_.set_handler(std::move(h));
-  police_.set_cut_handler([this](std::uint32_t suspect,
-                                 const core::Decision& d) {
-    apply_cut(suspect, d);
-  });
+  police_.set_cut_handler(
+      [this](std::uint32_t suspect, const core::Decision&) {
+        apply_cut(suspect);
+      });
   // Answer traffic requests from the live rolling windows: this node's
   // minute boundary is not the requesting judge's, so the last completed
   // minute may predate the traffic being judged.
@@ -72,14 +64,18 @@ Node::~Node() { shutdown(); }
 
 bool Node::start() {
   if (!engine_.listen()) return false;
-  if (!config_.stats_path.empty()) {
-    stats_.open(config_.stats_path, std::ios::out | std::ios::trunc);
-    std::ostringstream os;
-    os << "{\"type\":\"start\",\"index\":" << config_.index
-       << ",\"address\":\"" << address_string(self_) << "\",\"port\":"
-       << engine_.listen_port()
-       << ",\"attacker\":" << (config_.attacker ? "true" : "false") << "}";
-    stats_line(os.str());
+  if (!config_.trace_path.empty()) {
+    trace_ = std::make_unique<obs::JsonlFileSink>(config_.trace_path);
+    tracer_.bind(trace_.get());
+    police_.set_trace_sink(trace_.get());
+    // Flushed at once: the report counts an attacker that dies before its
+    // first minute from this record alone.
+    tracer_.emit(obs::EventType::kPeerJoined, minutes(protocol_minutes()),
+                 self_, kInvalidPeer,
+                 {{"index", double(config_.index)},
+                  {"port", double(engine_.listen_port())},
+                  {"attacker", config_.attacker ? 1.0 : 0.0}});
+    trace_->flush();
   }
 
   const auto minute_ms =
@@ -112,30 +108,29 @@ void Node::run() {
 void Node::shutdown() {
   if (shutdown_done_) return;
   shutdown_done_ = true;
-  if (stats_.is_open()) {
-    std::ostringstream os;
-    os << "{\"type\":\"final\",\"index\":" << config_.index
-       << ",\"minutes\":" << minute_ << ",\"issued\":" << queries_issued_
-       << ",\"forwarded\":" << queries_forwarded_
-       << ",\"hits\":" << hits_received_ << ",\"degree\":" << overlay_degree()
-       << ",\"cuts\":[";
-    for (std::size_t i = 0; i < cuts().size(); ++i) {
-      const core::Decision& d = cuts()[i];
-      if (i != 0) os << ',';
-      os << "{\"minute\":" << d.minute << ",\"suspect\":\""
-         << address_string(d.suspect) << "\",\"g\":" << d.g
-         << ",\"s\":" << d.s << "}";
-    }
-    os << "]}";
-    stats_line(os.str());
-    stats_.close();
-  }
+  if (!trace_) return;
+  report_minute(protocol_minutes(), /*final=*/true);
+  police_.set_trace_sink(nullptr);
+  tracer_.bind(nullptr);
+  trace_.reset();
 }
 
-void Node::stats_line(const std::string& json) {
-  if (!stats_.is_open()) return;
-  stats_ << json << '\n';
-  stats_.flush();
+void Node::report_minute(double minute, bool final) {
+  if (!tracer_.on()) return;
+  obs::TraceEvent e;
+  e.t = minutes(minute);
+  e.type = obs::EventType::kMinuteReport;
+  e.a = self_;
+  e.add_field("issued", double(queries_issued_));
+  e.add_field("forwarded", double(queries_forwarded_));
+  e.add_field("hits", double(hits_received_));
+  e.add_field("dups", double(dup_dropped_));
+  e.add_field("revoked", double(echo_revoked_));
+  e.add_field("degree", double(overlay_degree()));
+  e.add_field("conns", double(engine_.connection_count()));
+  if (final) e.add_field("final", 1.0);
+  tracer_.emit(e);
+  trace_->flush();
 }
 
 std::size_t Node::overlay_degree() const {
@@ -263,16 +258,6 @@ void Node::send_neighbor_list(std::uint32_t to,
 
 void Node::send_neighbor_traffic(std::uint32_t to,
                                  const net::NeighborTraffic& report) {
-  if (stats_.is_open()) {
-    std::ostringstream os;
-    os << "{\"type\":\"traffic\",\"index\":" << config_.index << ",\"to\":\""
-       << address_string(to) << "\",\"suspect\":\""
-       << address_string(report.suspect_ip)
-       << "\",\"out\":" << report.outgoing_queries
-       << ",\"in\":" << report.incoming_queries
-       << ",\"minute\":" << protocol_minutes() << "}";
-    stats_line(os.str());
-  }
   net::Message msg;
   msg.header.guid = net::Guid::random(rng_);
   msg.header.ttl = 1;
@@ -622,41 +607,13 @@ void Node::on_protocol_minute() {
   // Dedup horizon: anything older than 3 protocol minutes cannot still be
   // in flight; compacting here bounds the table across a long run.
   seen_.prune(now_s - 3.0 * config_.minute_seconds);
-
-  if (stats_.is_open()) {
-    std::ostringstream os;
-    os << "{\"type\":\"minute\",\"minute\":" << minute_
-       << ",\"index\":" << config_.index << ",\"degree\":" << overlay_degree()
-       << ",\"issued\":" << queries_issued_
-       << ",\"forwarded\":" << queries_forwarded_
-       << ",\"dups\":" << dup_dropped_ << ",\"revoked\":" << echo_revoked_
-       << ",\"hits\":" << hits_received_
-       << ",\"conns\":" << engine_.connection_count() << ",\"links\":[";
-    bool first = true;
-    for (const core::LinkMinute& lm : links) {
-      if (!first) os << ',';
-      first = false;
-      os << "{\"peer\":\"" << address_string(lm.peer)
-         << "\",\"out\":" << lm.out_queries << ",\"in\":" << lm.in_queries
-         << "}";
-    }
-    os << "]}";
-    stats_line(os.str());
-  }
+  report_minute(double(minute_), /*final=*/false);
 }
 
-void Node::apply_cut(std::uint32_t suspect, const core::Decision& d) {
+void Node::apply_cut(std::uint32_t suspect) {
+  if (trace_) trace_->flush();  // the police traced suspect_cut already
   banned_.insert(suspect);
   police_.ban_peer(suspect);
-  if (stats_.is_open()) {
-    std::ostringstream os;
-    os << "{\"type\":\"cut\",\"minute\":" << d.minute << ",\"index\":"
-       << config_.index << ",\"suspect\":\"" << address_string(suspect)
-       << "\",\"g\":" << d.g << ",\"s\":" << d.s
-       << ",\"k\":" << d.believed_k << ",\"responders\":" << d.responders
-       << "}";
-    stats_line(os.str());
-  }
   std::vector<ConnId> doomed;
   for (const auto& [id, link] : links_) {
     if (link.address == suspect ||

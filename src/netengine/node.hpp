@@ -31,10 +31,18 @@
 /// of the honest rate. It still speaks the whole protocol (handshake,
 /// lists, even traffic replies) — detection must come from the
 /// indicators, not from a rigged client.
+///
+/// Trace. With a trace_path the node writes one obs JSONL trace (the
+/// vocabulary of obs/event.hpp, t in protocol seconds): peer_joined at
+/// start, a minute_report per protocol minute and one more with final=1
+/// at shutdown, plus everything its LocalPolice emits (suspect_flagged,
+/// traffic_request/reply, indicator_computed, suspect_cut). The file is
+/// flushed after every minute_report and every cut, so a killed process
+/// still leaves its cuts on disk.
 
 #include <cstdint>
 #include <deque>
-#include <fstream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -44,6 +52,7 @@
 #include "core/police.hpp"
 #include "net/address.hpp"
 #include "netengine/engine.hpp"
+#include "obs/trace.hpp"
 #include "p2p/guid_table.hpp"
 #include "util/rate_window.hpp"
 #include "util/rng.hpp"
@@ -81,7 +90,7 @@ struct NodeConfig {
   bool echo_correction = true;
   core::DdPoliceConfig ddp{};
 
-  std::string stats_path;  ///< JSONL stats stream ("" = none)
+  std::string trace_path;  ///< obs JSONL trace ("" = none)
   std::uint64_t seed = 1;
   EngineConfig engine{};
 };
@@ -103,7 +112,8 @@ class Node final : private core::PoliceTransport {
   bool poll_once(int timeout_ms = 10) { return engine_.poll_once(timeout_ms); }
   void stop() { engine_.stop(); }
 
-  /// Final stats flush (also called by the destructor; idempotent).
+  /// Final minute_report and trace flush (also called by the destructor;
+  /// idempotent).
   void shutdown();
 
   Engine& engine() noexcept { return engine_; }
@@ -123,7 +133,7 @@ class Node final : private core::PoliceTransport {
   /// the address of the link they arrived on.
   std::uint64_t forged_reports() const noexcept { return forged_reports_; }
   /// The police-facing monitor reading for one neighbour (out is the
-  /// echo-corrected credit). Exposed for tests and stats.
+  /// echo-corrected credit). Exposed for tests.
   std::optional<core::LinkMinute> link_minute(std::uint32_t address);
   std::uint64_t minute_count() const noexcept { return minute_; }
   const std::vector<core::Decision>& cuts() const noexcept {
@@ -186,7 +196,7 @@ class Node final : private core::PoliceTransport {
   void issue_queries();
   void issue_one_query(double now_s);
   void on_protocol_minute();
-  void apply_cut(std::uint32_t suspect, const core::Decision& d);
+  void apply_cut(std::uint32_t suspect);
   void maintain_bootstrap();
 
   /// Deliver a control message to `to`, dialing if allowed and needed.
@@ -202,7 +212,9 @@ class Node final : private core::PoliceTransport {
     return wall_seconds() / config_.minute_seconds;
   }
 
-  void stats_line(const std::string& json);
+  /// Trace this node's counters as a minute_report stamped `minute`,
+  /// then flush the trace.
+  void report_minute(double minute, bool final);
 
   NodeConfig config_;
   std::uint32_t self_;
@@ -237,7 +249,8 @@ class Node final : private core::PoliceTransport {
   std::uint64_t echo_revoked_ = 0;
   std::uint64_t forged_reports_ = 0;
 
-  std::ofstream stats_;
+  std::unique_ptr<obs::JsonlFileSink> trace_;
+  obs::Tracer tracer_;
   bool shutdown_done_ = false;
   bool adverts_dirty_ = false;  ///< neighbour set changed; advertise on tick
   int police_depth_ = 0;        ///< police calls on the stack

@@ -35,13 +35,17 @@ enum class EventType : std::uint8_t {
   kQueryExpired,      ///< a=leaf, b=from (no forward); kv: query, ttl, hops
 
   // Flow engine (aggregate volumes; per completed minute / per action).
+  // A ddpnode process emits kMinuteReport too, with a = itself and kv:
+  // issued, forwarded, hits, dups, revoked, degree, conns (+ final = 1 on
+  // its shutdown record).
   kMinuteReport,      ///< kv: traffic, attack, dropped, success
   kLinkDisconnected,  ///< a,b = endpoints of the cut link
   kEdgeAdded,         ///< a,b = endpoints of the new link
   kPeerOffline,       ///< a = peer whose flow state was torn down
 
   // Membership and attack campaign.
-  kPeerJoined,        ///< a = rejoining peer (churn)
+  kPeerJoined,        ///< a = rejoining peer (churn); a ddpnode at start:
+                      ///< kv index, port, attacker
   kPeerLeft,          ///< a = departing peer (churn)
   kAttackStarted,     ///< kv: agents
   kAgentRejoined,     ///< a = agent that walked back in; kv: links
@@ -99,7 +103,7 @@ std::optional<EventType> event_from_name(std::string_view name) noexcept;
 
 /// One trace event. Trivially copyable: sinks may memcpy/retain freely.
 struct TraceEvent {
-  static constexpr std::size_t kMaxFields = 4;
+  static constexpr std::size_t kMaxFields = 8;
   static constexpr std::size_t kNoteCapacity = 64;
 
   /// One key=value payload entry. `key` must be a string literal (or

@@ -110,9 +110,8 @@ std::vector<std::uint8_t> Writer::finish(std::uint64_t config_digest) const {
   return out;
 }
 
-void Writer::write_file(const std::string& path,
-                        std::uint64_t config_digest) const {
-  const std::vector<std::uint8_t> image = finish(config_digest);
+void write_image_file(const std::string& path,
+                      const std::vector<std::uint8_t>& image) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
@@ -120,7 +119,11 @@ void Writer::write_file(const std::string& path,
     f.write(reinterpret_cast<const char*>(image.data()),
             static_cast<std::streamsize>(image.size()));
     f.flush();
-    if (!f) throw SnapshotError("short write to " + tmp);
+    if (!f) {
+      f.close();
+      std::remove(tmp.c_str());
+      throw SnapshotError("short write to " + tmp);
+    }
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());

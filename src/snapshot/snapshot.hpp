@@ -20,9 +20,10 @@
 ///     configuration — restoring under a different config is an error,
 ///     not a silent divergence.
 ///
-/// Writers buffer everything in memory (snapshots are MBs at most) and
-/// write files atomically: payload to `<path>.tmp`, then rename, so a
-/// crash mid-checkpoint never leaves a torn snapshot at the target path.
+/// Writers buffer everything in memory (snapshots are MBs at most);
+/// write_image_file() writes them atomically: payload to `<path>.tmp`,
+/// then rename, so a crash mid-checkpoint never leaves a torn snapshot at
+/// the target path.
 
 #include <cstdint>
 #include <stdexcept>
@@ -59,6 +60,12 @@ class SnapshotError : public std::runtime_error {
 /// section payload.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len) noexcept;
 
+/// Write a finished snapshot image to `path` atomically: tmp file, then
+/// rename. A failed or short write removes the tmp file. Throws
+/// SnapshotError on any IO failure.
+void write_image_file(const std::string& path,
+                      const std::vector<std::uint8_t>& image);
+
 class Writer {
  public:
   /// Open a new section; all writes land in it until end_section().
@@ -77,10 +84,6 @@ class Writer {
   /// Assemble the full snapshot image: header + every section framed with
   /// length and CRC. All sections must be closed.
   std::vector<std::uint8_t> finish(std::uint64_t config_digest) const;
-
-  /// finish() + atomic file write (tmp + rename). Throws SnapshotError on
-  /// any IO failure.
-  void write_file(const std::string& path, std::uint64_t config_digest) const;
 
  private:
   struct Section {

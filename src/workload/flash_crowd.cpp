@@ -85,8 +85,7 @@ void FlashCrowdDriver::on_minute(double minute) {
 void FlashCrowdDriver::save(snapshot::Writer& w) const {
   w.f64(next_surge_minute_);
   w.f64(surge_end_minute_);
-  w.size(participants_.size());
-  for (const PeerId p : participants_) w.u32(p);
+  snapshot::save_u32_vector(w, participants_);
   w.u64(static_cast<std::uint64_t>(surges_));
   snapshot::save_rng(w, rng_);
 }
@@ -94,8 +93,7 @@ void FlashCrowdDriver::save(snapshot::Writer& w) const {
 void FlashCrowdDriver::load(snapshot::Reader& r) {
   next_surge_minute_ = r.f64();
   surge_end_minute_ = r.f64();
-  participants_.resize(r.size(1u << 24));
-  for (PeerId& p : participants_) p = r.u32();
+  snapshot::load_u32_vector(r, participants_, 1u << 24);
   surges_ = static_cast<std::size_t>(r.u64());
   snapshot::load_rng(r, rng_);
 }

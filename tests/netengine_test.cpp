@@ -13,7 +13,8 @@
 //   - forged Neighbor_Traffic: testimony counts only for the link it
 //     arrives on;
 //   - a slow peer evicted by the judge's own periodic advertisement: the
-//     rest of that advertisement still reaches every other neighbour once.
+//     rest of that advertisement still reaches every other neighbour once;
+//   - each node's obs trace, and the testbed report read from such traces.
 
 #include <gtest/gtest.h>
 
@@ -22,14 +23,20 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "experiments/testbed.hpp"
 #include "netengine/engine.hpp"
 #include "netengine/node.hpp"
 #include "netengine/timer_wheel.hpp"
 #include "obs/trace.hpp"
+#include "obs/trace_read.hpp"
 
 namespace ddp::netengine {
 namespace {
@@ -52,6 +59,39 @@ bool pump_until(std::vector<Engine*> engines, Pred done, int rounds = 400) {
     for (Engine* e : engines) e->poll_once(5);
   }
   return done();
+}
+
+/// A fresh scratch directory under the gtest temp dir, unique per test
+/// and process; removed on destruction.
+struct ScratchDir {
+  std::filesystem::path path;
+  explicit ScratchDir(const std::string& name)
+      : path(std::filesystem::path(::testing::TempDir()) /
+             (name + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(path); }
+  std::string file(const std::string& leaf) const {
+    return (path / leaf).string();
+  }
+};
+
+/// Every line of a trace file, parsed; a line that does not parse into a
+/// known event type fails the test.
+std::vector<obs::TraceRecord> read_node_trace(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<obs::TraceRecord> out;
+  std::string line;
+  while (std::getline(in, line)) {
+    std::string error;
+    auto r = obs::parse_trace_line(line, &error);
+    EXPECT_TRUE(r.has_value()) << path << ": " << error << "\n  " << line;
+    if (!r) continue;
+    EXPECT_TRUE(r->known.has_value()) << "unknown type " << r->type;
+    out.push_back(std::move(*r));
+  }
+  return out;
 }
 
 net::Message make_ping() {
@@ -297,7 +337,9 @@ TEST(Node, AttackerCohortIsCutOnLoopback) {
   // Star: one honest hub, one honest spoke, one attacker spoke. The
   // attacker floods the hub far past the warning threshold; the hub's
   // LocalPolice runs a buddy round and cuts + bans it.
+  const ScratchDir dir("cohort_traces");
   NodeConfig hub_cfg = quick_node(0);
+  hub_cfg.trace_path = dir.file("hub.jsonl");
   hub_cfg.ddp.warning_threshold = 60.0;
   hub_cfg.ddp.cut_threshold = 2.0;
   hub_cfg.ddp.good_issue_bound = 20.0;
@@ -308,6 +350,7 @@ TEST(Node, AttackerCohortIsCutOnLoopback) {
   NodeConfig spoke_cfg = quick_node(1);
   spoke_cfg.bootstrap = {hub.listen_port()};
   spoke_cfg.query_rate_per_minute = 5.0;
+  spoke_cfg.trace_path = dir.file("spoke.jsonl");
   Node spoke(spoke_cfg);
   ASSERT_TRUE(spoke.start());
 
@@ -316,6 +359,7 @@ TEST(Node, AttackerCohortIsCutOnLoopback) {
   bad_cfg.attacker = true;
   bad_cfg.attack_rate_per_minute = 600.0;
   bad_cfg.attack_start_minute = 1.0;
+  bad_cfg.trace_path = dir.file("bad.jsonl");
   Node bad(bad_cfg);
   ASSERT_TRUE(bad.start());
 
@@ -340,6 +384,38 @@ TEST(Node, AttackerCohortIsCutOnLoopback) {
   }
   // The ban holds: the attacker's redial attempts never restore the link.
   ASSERT_TRUE(pump([&] { return hub.overlay_degree() == 1; }, 500));
+
+  // Each node's trace: obs JSONL from its first line to its final
+  // minute_report, and the judge's file holds the attacker's cut.
+  hub.shutdown();
+  spoke.shutdown();
+  bad.shutdown();
+  const std::pair<const Node*, std::string> files[] = {
+      {&hub, hub_cfg.trace_path},
+      {&spoke, spoke_cfg.trace_path},
+      {&bad, bad_cfg.trace_path}};
+  for (const auto& [n, path] : files) {
+    const std::vector<obs::TraceRecord> records = read_node_trace(path);
+    ASSERT_FALSE(records.empty()) << path;
+    EXPECT_EQ(records.front().known, obs::EventType::kPeerJoined) << path;
+    EXPECT_EQ(records.front().a, n->self_address());
+    EXPECT_EQ(records.front().field("attacker"), n == &bad ? 1.0 : 0.0);
+    const obs::TraceRecord* last_minute = nullptr;
+    for (const obs::TraceRecord& r : records) {
+      if (r.known == obs::EventType::kMinuteReport) last_minute = &r;
+    }
+    ASSERT_NE(last_minute, nullptr) << path;
+    EXPECT_EQ(last_minute->field("final"), 1.0) << path;
+    EXPECT_EQ(last_minute->field("issued"), double(n->queries_issued()));
+  }
+  bool judge_cut_attacker = false;
+  for (const obs::TraceRecord& r : read_node_trace(hub_cfg.trace_path)) {
+    if (r.known == obs::EventType::kSuspectCut && r.a == bad_addr &&
+        r.b == hub.self_address()) {
+      judge_cut_attacker = true;
+    }
+  }
+  EXPECT_TRUE(judge_cut_attacker) << "no suspect_cut of the attacker";
 }
 
 TEST(Node, DuplicateEchoRevokesForwardCredit) {
@@ -659,6 +735,93 @@ TEST(Node, SigtermShutsDownCleanlyWithoutLeakingFds) {
   }
   const std::size_t fds_after = open_fd_count();
   EXPECT_EQ(fds_after, fds_before) << "file descriptors leaked on shutdown";
+}
+
+TEST(Testbed, ReportReadsNodeTraces) {
+  // Three synthetic node traces: judges 0 and 1 both cut attacker 2, at
+  // minutes 3.5 and 2.5; judge 0 also cuts honest peer 1 at minute 4.
+  // Node 1's file has no final minute_report and ends in a torn line, as
+  // a process killed mid-write leaves it.
+  const ScratchDir dir("testbed_report");
+  const std::uint32_t addr0 = net::peer_address(0);
+  const std::uint32_t addr1 = net::peer_address(1);
+  const std::uint32_t addr2 = net::peer_address(2);
+  auto joined = [](obs::Tracer& t, std::uint32_t index, bool attacker) {
+    t.emit(obs::EventType::kPeerJoined, 0.0, net::peer_address(index),
+           kInvalidPeer,
+           {{"index", double(index)},
+            {"port", 42000.0 + index},
+            {"attacker", attacker ? 1.0 : 0.0}});
+  };
+  auto cut = [](obs::Tracer& t, double minute, std::uint32_t suspect,
+                std::uint32_t judge) {
+    t.emit(obs::EventType::kSuspectCut, minutes(minute), suspect, judge,
+           {{"g", 9.0}, {"s", 4.0}, {"via_single", 0.0}});
+  };
+  auto report = [](obs::Tracer& t, double minute, std::uint32_t self,
+                   double issued, bool final) {
+    obs::TraceEvent e;
+    e.t = minutes(minute);
+    e.type = obs::EventType::kMinuteReport;
+    e.a = self;
+    e.add_field("issued", issued);
+    e.add_field("forwarded", 2.0 * issued);
+    e.add_field("hits", 1.0);
+    if (final) e.add_field("final", 1.0);
+    t.emit(e);
+  };
+  {
+    obs::JsonlFileSink sink(dir.file("node0.jsonl"));
+    obs::Tracer t;
+    t.bind(&sink);
+    joined(t, 0, false);
+    report(t, 1.0, addr0, 4.0, false);
+    cut(t, 3.5, addr2, addr0);
+    cut(t, 4.0, addr1, addr0);
+    report(t, 6.0, addr0, 10.0, true);
+  }
+  {
+    obs::JsonlFileSink sink(dir.file("node1.jsonl"));
+    obs::Tracer t;
+    t.bind(&sink);
+    joined(t, 1, false);
+    cut(t, 2.5, addr2, addr1);
+    report(t, 3.0, addr1, 3.0, false);
+    report(t, 4.0, addr1, 5.0, false);
+  }
+  std::ofstream(dir.file("node1.jsonl"), std::ios::app) << "{\"t\":270,\"ty";
+  {
+    obs::JsonlFileSink sink(dir.file("node2.jsonl"));
+    obs::Tracer t;
+    t.bind(&sink);
+    joined(t, 2, true);
+    report(t, 6.0, addr2, 600.0, true);
+  }
+
+  const experiments::TestbedReport r =
+      experiments::aggregate_stats(dir.path.string());
+  EXPECT_EQ(r.nodes_reporting, 3u);
+  EXPECT_EQ(r.finals_reporting, 2u);
+  EXPECT_EQ(r.attackers, 1u);
+  EXPECT_EQ(r.attackers_cut, 1u);
+  EXPECT_EQ(r.honest_cut, 1u);
+  EXPECT_DOUBLE_EQ(r.first_detection_minute, 2.5);
+  EXPECT_DOUBLE_EQ(r.mean_detection_minute, 2.5);
+  // Totals come from each file's last minute_report, final or not.
+  EXPECT_EQ(r.total_issued, 10u + 5u + 600u);
+  EXPECT_EQ(r.total_forwarded, 20u + 10u + 1200u);
+  EXPECT_EQ(r.total_hits, 3u);
+
+  std::ostringstream csv;
+  experiments::write_report_csv(r, 1.0, csv);
+  EXPECT_EQ(csv.str(),
+            "minute,judge,suspect,suspect_is_attacker,g,s\n"
+            "2.5,1,10.0.0.2,1,9,4\n"
+            "3.5,0,10.0.0.2,1,9,4\n"
+            "4,0,10.0.0.1,0,9,4\n"
+            "# nodes=3 attackers=1 attackers_cut=1 honest_cut=1 "
+            "first_detection_min=2.5 mean_detection_min=2.5 "
+            "detection_latency_min=1.5\n");
 }
 
 }  // namespace

@@ -23,9 +23,12 @@ namespace {
 
 TEST(TraceEvent, FieldCapacityAndNoteTruncation) {
   TraceEvent e;
-  for (int i = 0; i < 6; ++i) e.add_field("k", static_cast<double>(i));
-  EXPECT_EQ(e.n_fields, TraceEvent::kMaxFields);
-  EXPECT_DOUBLE_EQ(e.fields[3].value, 3.0);  // fifth/sixth adds dropped
+  constexpr std::size_t kMax = TraceEvent::kMaxFields;
+  for (std::size_t i = 0; i < kMax + 2; ++i) {
+    e.add_field("k", static_cast<double>(i));
+  }
+  EXPECT_EQ(e.n_fields, kMax);
+  EXPECT_DOUBLE_EQ(e.fields[kMax - 1].value, double(kMax - 1));  // rest dropped
 
   const std::string longtext(200, 'x');
   e.set_note(longtext);
